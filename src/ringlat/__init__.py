@@ -22,6 +22,7 @@ from .algebra import (  # noqa: F401
     quotient,
     support,
 )
+from .analysis import Analysis  # noqa: F401
 from .canonical import (  # noqa: F401
     CanonicalDecomposition,
     MinimalKind,

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gfq
+from .analysis import Analysis
 from .gfq import (
     GF,
     coords_in_rref,
@@ -304,15 +305,6 @@ def make_product(*algebras):
     return Algebra(field, table, one)
 
 
-def product_embeddings(algebras):
-    """Coordinate embeddings of each factor into make_product(*algebras)."""
-    dims = [a.dim for a in algebras]
-    n = sum(dims)
-    offsets = [sum(dims[:i]) for i in range(len(dims))]
-    return [lambda v, o=o, d=d: zero_vec(o) + tuple(v) + zero_vec(n - o - d)
-            for o, d in zip(offsets, dims)]
-
-
 def generated_subalgebra(ambient, gens, seed=None):
     """Smallest subalgebra containing the seed, the unit and the generators."""
     F = ambient.field
@@ -376,20 +368,6 @@ def conductor(R, S=None):
                     "conductor-not-ideal-of-top",
                     "conductor fails to absorb multiplication from the top ring")
     return ideal
-
-
-def ideal_generated(ring, gens):
-    """Smallest ideal of the ring containing the generators."""
-    A = ring if isinstance(ring, Algebra) else ring.ambient
-    F = A.field
-    ring_rows = span_rows_of(ring)
-    rows = rref(F, list(gens))
-    while True:
-        prods = [A.mul(r, x) for r in ring_rows for x in rows]
-        new = rref(F, tuple(rows) + tuple(prods))
-        if len(new) == len(rows):
-            return Ideal(ring, rows, check=False)
-        rows = new
 
 
 def ideal_mul_rows(A, rows_a, rows_b):
@@ -549,6 +527,7 @@ class LocalDecomposition:
 
     ring: object
     factors: tuple
+    nilradical: Ideal             # the intersection of the maximal ideals
 
     @property
     def idempotents(self):
@@ -661,35 +640,33 @@ def local_decomposition(ring):
     """Split an Artinian ring into local factors along its idempotents."""
     A = ring if isinstance(ring, Algebra) else ring.ambient
     F = A.field
+    nil = nilradical(ring)
     if isinstance(ring, Algebra):
-        ring_alg, fmap = ring, None
+        idems = _primitive_idempotents(ring, nil.basis)
     else:
         fmap = subspace_algebra(A, ring.basis, A.one)
-        ring_alg = fmap.algebra
-    nil = nilradical(ring_alg)
-    idems_local = _primitive_idempotents(ring_alg, nil.basis)
-    nil_ambient = rref(F, [fmap.embed(v) for v in nil.basis]) if fmap else nil.basis
+        idems = [fmap.embed(e) for e in
+                 _primitive_idempotents(fmap.algebra, fmap.coords_rows(nil.basis))]
     ring_rows = span_rows_of(ring)
     factors = []
-    for e_loc in idems_local:
-        e = fmap.embed(e_loc) if fmap else e_loc
+    for e in idems:
         e_rows = rref(F, [A.mul(e, r) for r in ring_rows])
         factor = subspace_algebra(A, e_rows, e)
-        fnil = nilradical(factor.algebra)
-        res_deg = factor.algebra.dim - fnil.dim
+        # the nilradical of the factor e*ring is e times that of the ring
+        fnil_dim = len(rref(F, [A.mul(e, v) for v in nil.basis]))
         one_minus_e = vsub(F, A.one, e)
         m_rows = rref(F, [A.mul(one_minus_e, r) for r in ring_rows]
-                      + list(nil_ambient))
+                      + list(nil.basis))
         factors.append(LocalFactor(
             idempotent=e,
             factor=factor,
             maximal_ideal=Ideal(ring, m_rows),
-            residue_degree=res_deg,
+            residue_degree=factor.algebra.dim - fnil_dim,
         ))
     if sum(f.factor.algebra.dim for f in factors) != len(ring_rows):
         raise InternalInvariantError("local-factor-dims",
                                      "factor dimensions do not add up")
-    return LocalDecomposition(ring=ring, factors=tuple(factors))
+    return LocalDecomposition(ring=ring, factors=tuple(factors), nilradical=nil)
 
 
 def brute_force_idempotents(ring, budget=4096):
@@ -709,11 +686,11 @@ def brute_force_idempotents(ring, budget=4096):
 # localization, length, support
 
 
-def localize_extension(ext, M, with_map=False):
+def localize_extension(ext, M, with_map=False, an=None):
     """Localize R <= S at a maximal ideal M of R (idempotent projection)."""
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
-    dec = local_decomposition(R)
+    dec = (an or Analysis()).decomposition(R)
     match = [f for f in dec.factors if f.maximal_ideal == M]
     if not match:
         raise AlgebraError("not a maximal ideal of the bottom ring")
@@ -727,11 +704,11 @@ def localize_extension(ext, M, with_map=False):
     return (loc, fac) if with_map else loc
 
 
-def support(ext):
+def support(ext, an=None):
     """Maximal ideals of R at which the localized extension is nontrivial."""
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
-    dec = local_decomposition(R)
+    dec = (an or Analysis()).decomposition(R)
     out = []
     for f in dec.factors:
         e = f.idempotent
@@ -743,7 +720,7 @@ def support(ext):
     return tuple(out)
 
 
-def module_length(R, e_rows, f_rows=()):
+def module_length(R, e_rows, f_rows=(), an=None):
     """Length of E/F as an R-module, via the radical filtration of R.
 
     E and F are nested R-stable subspaces of the ambient algebra, given by
@@ -763,8 +740,8 @@ def module_length(R, e_rows, f_rows=()):
             for x in rows:
                 if not in_span(F, rows, A.mul(r, x)):
                     raise AlgebraError("module subspace not stable under the ring")
-    rad = nilradical(R)
-    dec = local_decomposition(R)
+    dec = (an or Analysis()).decomposition(R)
+    rad = dec.nilradical
     total = 0
     cur = e_rows
     while len(cur) > len(f_rows):
@@ -782,12 +759,6 @@ def module_length(R, e_rows, f_rows=()):
             total += layer_dim // f.residue_degree
         cur = nxt
     return total
-
-
-def residue_dim(ring, M):
-    """GF(q)-dimension of ring/M for a maximal ideal M of the ring."""
-    rows = span_rows_of(ring)
-    return len(rows) - M.dim
 
 
 def intersect_with(sub_or_rows, rows, ambient):

@@ -22,25 +22,15 @@ from .algebra import (
     Subalgebra,
     conductor,
     intersect_with,
-    local_decomposition,
-    localize_extension,
-    module_length,
     support,
 )
-from .gfq import in_span, intersect_rowspaces, rref
-from .lattice import (
-    enumerate_interval,
-    greedy_maximal_chain,
-    interval_length,
-    is_chained,
-    maximal_chains,
-)
+from .analysis import Analysis
+from .gfq import intersect_rowspaces, rref
+from .lattice import greedy_maximal_chain, interval_length
 
 INERT = "inert"
 DECOMPOSED = "decomposed"
 RAMIFIED = "ramified"
-
-DEFAULT_SCAN_BUDGET = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -53,20 +43,21 @@ class MinimalKind:
     residual_degrees: tuple      # [U/Q : T/M] for each listed prime
 
 
-def classify_minimal(T, U):
+def classify_minimal(T, U, an=None):
     """Sort an adjacent pair into exactly one of the three minimal types."""
+    an = an or Analysis()
     A = T.ambient
     F = A.field
     if not U.contains(T) or U.dim <= T.dim:
         raise AlgebraError("classification requires an adjacent pair T < U")
     M = conductor(T, U)
-    dec_t = local_decomposition(T)
+    dec_t = an.decomposition(T)
     if all(f.maximal_ideal != M for f in dec_t.factors):
         raise InternalInvariantError(
             "minimal-conductor-not-maximal",
             "conductor of an adjacent pair is not maximal in the bottom ring")
     res_t = T.dim - M.dim
-    dec_u = local_decomposition(U)
+    dec_u = an.decomposition(U)
     max_u = sorted(dec_u.factors, key=lambda f: f.maximal_ideal.basis)
     res_u = {f.maximal_ideal: U.dim - f.maximal_ideal.dim for f in max_u}
 
@@ -101,11 +92,11 @@ def classify_minimal(T, U):
     return matches[0]
 
 
-def crucial_ideal(T, U):
+def crucial_ideal(T, U, an=None):
     """The unique maximal ideal of T where the pair is locally nontrivial."""
     A = T.ambient
     F = A.field
-    dec_t = local_decomposition(T)
+    dec_t = (an or Analysis()).decomposition(T)
     diffs = []
     for f in dec_t.factors:
         e = f.idempotent
@@ -135,11 +126,12 @@ class ResidualExtension:
     length: int
 
 
-def residual_extensions(ext):
+def residual_extensions(ext, an=None):
     """Residue-field data at every maximal ideal of the top ring."""
+    an = an or Analysis()
     R, S, A = ext.bottom, ext.top, ext.ambient
-    dec_s = local_decomposition(S)
-    dec_r = local_decomposition(R)
+    dec_s = an.decomposition(S)
+    dec_r = an.decomposition(R)
     max_r = {f.maximal_ideal.basis: f.maximal_ideal for f in dec_r.factors}
     out = []
     for f in sorted(dec_s.factors, key=lambda f: f.maximal_ideal.basis):
@@ -159,18 +151,19 @@ def residual_extensions(ext):
     return tuple(out)
 
 
-def is_infra_integral(ext):
+def is_infra_integral(ext, an=None):
     """All residue-field extensions are isomorphisms."""
-    return all(r.degree == 1 for r in residual_extensions(ext))
+    return all(r.degree == 1 for r in residual_extensions(ext, an))
 
 
-def is_subintegral(ext):
+def is_subintegral(ext, an=None):
     """Residually trivial with a bijective contraction of maximal ideals."""
-    residuals = residual_extensions(ext)
+    an = an or Analysis()
+    residuals = residual_extensions(ext, an)
     if any(r.degree != 1 for r in residuals):
         return False
     images = [r.prime_bottom.basis for r in residuals]
-    n_bottom = len(local_decomposition(ext.bottom).factors)
+    n_bottom = len(an.decomposition(ext.bottom).factors)
     return len(set(images)) == len(images) == n_bottom
 
 
@@ -181,15 +174,17 @@ class TClosedResult:
     witness: tuple = None  # (b, r) violating the closure condition
 
 
-def is_t_closed(ext, scan_budget=DEFAULT_SCAN_BUDGET):
+def is_t_closed(ext, an=None):
     """Closure under the quadratic-cubic membership condition.
 
-    The definitional scan checks every pair (b, r); past the budget we fall
-    back to classifying one maximal chain, every step of which must be inert.
+    The definitional scan checks every pair (b, r); past the analysis's scan
+    budget we fall back to classifying one maximal chain, every step of
+    which must be inert.
     """
+    an = an or Analysis()
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
-    if F.q ** (S.dim + R.dim) <= scan_budget:
+    if F.q ** (S.dim + R.dim) <= an.scan_budget:
         r_elements = list(gfq.span_vectors(F, R.basis)) if R.dim else [A.zero]
         for b in gfq.span_vectors(F, S.basis):
             if R.contains_vector(b):
@@ -203,16 +198,16 @@ def is_t_closed(ext, scan_budget=DEFAULT_SCAN_BUDGET):
         return TClosedResult(True, "scan")
     chain = greedy_maximal_chain(ext)
     for lo, hi in zip(chain, chain[1:]):
-        if classify_minimal(lo, hi).kind != INERT:
+        if classify_minimal(lo, hi, an).kind != INERT:
             return TClosedResult(False, "chain")
     return TClosedResult(True, "chain")
 
 
-def seminormalization(ext, lat=None):
+def seminormalization(ext, an=None):
     """Largest intermediate ring subintegral over the bottom."""
-    if lat is None:
-        lat = enumerate_interval(ext)
-    hits = [n for n in lat.nodes if is_subintegral(Extension(ext.bottom, n))]
+    an = an or Analysis()
+    hits = [n for n in an.lattice(ext).nodes
+            if is_subintegral(Extension(ext.bottom, n), an)]
     top = max(hits, key=lambda n: n.dim)
     for n in hits:
         if not top.contains(n):
@@ -222,11 +217,11 @@ def seminormalization(ext, lat=None):
     return top
 
 
-def t_closure(ext, lat=None, scan_budget=DEFAULT_SCAN_BUDGET):
+def t_closure(ext, an=None):
     """Pivot ring, computed by two characterizations that must agree."""
-    if lat is None:
-        lat = enumerate_interval(ext)
-    infra = [n for n in lat.nodes if is_infra_integral(Extension(ext.bottom, n))]
+    an = an or Analysis()
+    lat = an.lattice(ext)
+    infra = [n for n in lat.nodes if is_infra_integral(Extension(ext.bottom, n), an)]
     greatest = max(infra, key=lambda n: n.dim)
     for n in infra:
         if not greatest.contains(n):
@@ -234,7 +229,7 @@ def t_closure(ext, lat=None, scan_budget=DEFAULT_SCAN_BUDGET):
                 "t-closure-not-unique",
                 "infra-integral nodes have no greatest element")
     closed = [n for n in lat.nodes
-              if is_t_closed(Extension(n, ext.top), scan_budget).value]
+              if is_t_closed(Extension(n, ext.top), an).value]
     least = min(closed, key=lambda n: n.dim)
     for n in closed:
         if not n.contains(least):
@@ -259,11 +254,10 @@ class CanonicalDecomposition:
         return (self.seminormalization.dim, self.t_closure.dim)
 
 
-def canonical_decomposition(ext, lat=None):
-    if lat is None:
-        lat = enumerate_interval(ext)
-    plus = seminormalization(ext, lat)
-    tcl = t_closure(ext, lat)
+def canonical_decomposition(ext, an=None):
+    an = an or Analysis()
+    plus = seminormalization(ext, an)
+    tcl = t_closure(ext, an)
     if not tcl.contains(plus):
         raise InternalInvariantError(
             "canonical-chain-broken",
@@ -271,9 +265,9 @@ def canonical_decomposition(ext, lat=None):
     return CanonicalDecomposition(seminormalization=plus, t_closure=tcl)
 
 
-def lambda_invariant(ext):
+def lambda_invariant(ext, an=None):
     """Supremum of the lengths of the residue-field extensions."""
-    return max((r.length for r in residual_extensions(ext)), default=0)
+    return max((r.length for r in residual_extensions(ext, an)), default=0)
 
 
 @dataclass(frozen=True)
@@ -293,31 +287,31 @@ class LambdaCrossCheck:
         return self.length_bound_ok is not False
 
 
-def lambda_crosscheck(ext, lat=None):
+def lambda_crosscheck(ext, an=None):
     """Independent recomputations of the residual-length supremum."""
-    if lat is None:
-        lat = enumerate_interval(ext)
-    value = lambda_invariant(ext)
-    tcl = t_closure(ext, lat)
-    after = lambda_invariant(Extension(tcl, ext.top))
+    an = an or Analysis()
+    value = lambda_invariant(ext, an)
+    tcl = an.canonical(ext).t_closure
+    after = lambda_invariant(Extension(tcl, ext.top), an)
     localized_sup = None
     msupp = None
     bound_ok = None
     if tcl == ext.bottom and not ext.is_trivial:  # t-closed integral pair
-        supp = support(ext)
+        supp = support(ext, an)
         msupp = len(supp)
         localized = []
         for M in supp:
-            loc = localize_extension(ext, M)
-            localized.append(interval_length(enumerate_interval(loc)))
+            loc, _ = an.localization(ext, M)
+            localized.append(interval_length(an.lattice(loc)))
         localized_sup = max(localized, default=0)
-        bound_ok = interval_length(lat) <= msupp * value
+        bound_ok = interval_length(an.lattice(ext)) <= msupp * value
     return LambdaCrossCheck(value, after, localized_sup, msupp, bound_ok)
 
 
-def classify_cover_edges(lat):
+def classify_cover_edges(lat, an=None):
     """MinimalKind for every cover edge, keyed by the edge index pair."""
-    return {(i, j): classify_minimal(lat.nodes[i], lat.nodes[j])
+    an = an or Analysis()
+    return {(i, j): classify_minimal(lat.nodes[i], lat.nodes[j], an)
             for i, j in lat.covers}
 
 
@@ -328,8 +322,9 @@ def census(edge_kinds):
     return out
 
 
-def classify_chain(lat, chain, edge_kinds=None):
+def classify_chain(lat, chain, edge_kinds=None, an=None):
     """Fill the classification and crucial-ideal slots of a chain report."""
+    an = an or Analysis()
     if edge_kinds is None:
         edge_kinds = {}
     steps = []
@@ -337,9 +332,9 @@ def classify_chain(lat, chain, edge_kinds=None):
     R = lat.ext.bottom
     A = lat.ext.ambient
     for i, j in zip(chain.nodes, chain.nodes[1:]):
-        kind = edge_kinds.get((i, j)) or classify_minimal(lat.nodes[i], lat.nodes[j])
+        kind = edge_kinds.get((i, j)) or classify_minimal(lat.nodes[i], lat.nodes[j], an)
         steps.append(kind)
-        crux = crucial_ideal(lat.nodes[i], lat.nodes[j])
+        crux = crucial_ideal(lat.nodes[i], lat.nodes[j], an)
         traces.append(intersect_with(R, crux.basis, A))
     chain.steps = tuple(steps)
     chain.crucial_traces = tuple(traces)
@@ -365,29 +360,30 @@ class ChainCheckReport:
         return not self.violations
 
 
-def verify_chain_classification(lat, chain):
+def verify_chain_classification(lat, chain, an=None):
     """Check a classified chain against the whole-pair predicates."""
+    an = an or Analysis()
     ext = Extension(lat.nodes[chain.nodes[0]], lat.nodes[chain.nodes[-1]])
     if chain.steps is None:
-        classify_chain(lat, chain)
+        classify_chain(lat, chain, an=an)
     kinds = [s.kind for s in chain.steps]
     all_inert = all(k == INERT for k in kinds)
     all_rd = all(k in (RAMIFIED, DECOMPOSED) for k in kinds)
-    infra = is_infra_integral(ext)
-    tcl = is_t_closed(ext).value
+    infra = is_infra_integral(ext, an)
+    tcl = is_t_closed(ext, an).value
     violations = []
     if infra != all_rd:
         violations.append("infra-integral flag disagrees with the step census")
     if tcl != all_inert:
         violations.append("t-closed flag disagrees with the step census")
     quasi_local_ok = True
-    if tcl and not ext.is_trivial and local_decomposition(ext.bottom).is_local:
-        M = local_decomposition(ext.bottom).factors[0].maximal_ideal
+    if tcl and not ext.is_trivial and an.decomposition(ext.bottom).is_local:
+        M = an.decomposition(ext.bottom).factors[0].maximal_ideal
         cond = conductor(ext.bottom, ext.top)
         if M.basis != cond.basis:
             quasi_local_ok = False
             violations.append("local t-closed pair: conductor is not the maximal ideal")
-        if not local_decomposition(ext.top).is_local:
+        if not an.decomposition(ext.top).is_local:
             quasi_local_ok = False
             violations.append("local t-closed pair: top ring is not local")
     return ChainCheckReport(
@@ -412,28 +408,28 @@ class AdditivityReport:
     seminormal_split_ok: bool = None
 
 
-def length_additivity_check(ext, lat=None):
+def length_additivity_check(ext, an=None):
     """Interval length against the splits at the t-closure (and +R if licit).
 
     Both sides of each split are independent longest-path computations on
-    freshly enumerated sub-lattices.  The split at the seminormalization is
-    checked only when no ramified cover exists above it, which is the
-    subextension-closure hypothesis the split needs.
+    sub-lattices enumerated on their own (each distinct interval once per
+    analysis), not read off the lattice of ext.  The split at the
+    seminormalization is checked only when no ramified cover exists above
+    it, which is the subextension-closure hypothesis the split needs.
     """
-    if lat is None:
-        lat = enumerate_interval(ext)
-    total = interval_length(lat)
-    dec = canonical_decomposition(ext, lat)
+    an = an or Analysis()
+    total = interval_length(an.lattice(ext))
+    dec = an.canonical(ext)
     tcl = dec.t_closure
-    below = interval_length(enumerate_interval(Extension(ext.bottom, tcl)))
-    above = interval_length(enumerate_interval(Extension(tcl, ext.top)))
+    below = interval_length(an.lattice(Extension(ext.bottom, tcl)))
+    above = interval_length(an.lattice(Extension(tcl, ext.top)))
     plus = dec.seminormalization
-    upper = enumerate_interval(Extension(plus, ext.top))
-    upper_kinds = classify_cover_edges(upper)
+    upper = an.lattice(Extension(plus, ext.top))
+    upper_kinds = classify_cover_edges(upper, an)
     applicable = all(k.kind != RAMIFIED for k in upper_kinds.values())
     b_plus = a_plus = split_ok = None
     if applicable:
-        b_plus = interval_length(enumerate_interval(Extension(ext.bottom, plus)))
+        b_plus = interval_length(an.lattice(Extension(ext.bottom, plus)))
         a_plus = interval_length(upper)
         split_ok = total == b_plus + a_plus
     return AdditivityReport(

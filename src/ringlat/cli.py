@@ -20,14 +20,12 @@ from .algebra import (
     conductor,
     generated_subalgebra,
     intersect_with,
-    localize_extension,
     make_poly_quotient,
     make_product,
-    nilradical,
     support,
 )
+from .analysis import DEFAULT_NODE_BUDGET, DEFAULT_SCAN_BUDGET, Analysis
 from .canonical import (
-    canonical_decomposition,
     census,
     chain_trace_set,
     classify_chain,
@@ -46,7 +44,6 @@ from .lattice import (
     BudgetExceeded,
     brute_force_interval,
     check_distributivity,
-    enumerate_interval,
     interval_length,
     is_arithmetic,
     is_chained,
@@ -193,16 +190,23 @@ def _rows(node):
     return [list(r) for r in node.basis]
 
 
+def analysis_for(args):
+    """The analysis context of one command, with the command's budgets."""
+    return Analysis(node_budget=args.budget_nodes, scan_budget=args.budget_scan,
+                    threads=args.threads)
+
+
 def build_result(ext, args):
     t0 = time.monotonic()
-    lat = enumerate_interval(ext, node_budget=args.budget_nodes, threads=args.threads)
-    edge_kinds = classify_cover_edges(lat)
-    dec = canonical_decomposition(ext, lat)
+    an = analysis_for(args)
+    lat = an.lattice(ext)
+    edge_kinds = classify_cover_edges(lat, an)
+    dec = an.canonical(ext)
     tcl = dec.t_closure
-    arith, _ = is_arithmetic(ext, node_budget=args.budget_nodes, threads=args.threads)
+    arith, _ = is_arithmetic(ext, an)
     delta, _ = is_delta_extension(ext, lat)
-    nrep = nagata_report(ext, lat)
-    supp = support(ext)
+    nrep = nagata_report(ext, an)
+    supp = support(ext, an)
     doc = {
         "version": __version__,
         "interval": {
@@ -221,15 +225,15 @@ def build_result(ext, args):
         },
         "census": census(edge_kinds),
         "predicates": {
-            "subintegral": is_subintegral(ext),
-            "infra_integral": is_infra_integral(ext),
-            "t_closed": is_t_closed(ext, args.budget_scan).value,
+            "subintegral": is_subintegral(ext, an),
+            "infra_integral": is_infra_integral(ext, an),
+            "t_closed": is_t_closed(ext, an).value,
             "chained": is_chained(lat),
             "arithmetic": arith,
             "delta": delta,
             "pinched_at_tclosure": is_pinched_at(lat, tcl),
         },
-        "lambda": lambda_invariant(ext),
+        "lambda": lambda_invariant(ext, an),
         "nagata": nrep.to_dict(),
     }
     if args.timing:
@@ -269,9 +273,10 @@ def cmd_analyze(args):
 
 def cmd_lattice(args):
     ext = load_instance(args.path)
-    lat = enumerate_interval(ext, node_budget=args.budget_nodes, threads=args.threads)
-    edge_kinds = classify_cover_edges(lat)
-    supp = support(ext)
+    an = analysis_for(args)
+    lat = an.lattice(ext)
+    edge_kinds = classify_cover_edges(lat, an)
+    supp = support(ext, an)
     supp_index = {m.basis: k for k, m in enumerate(supp)}
 
     def edge_label(edge):
@@ -298,15 +303,14 @@ def cmd_lattice(args):
 
 def cmd_nagata(args):
     ext = load_instance(args.path)
-    lat = enumerate_interval(ext, node_budget=args.budget_nodes, threads=args.threads)
-    doc = nagata_report(ext, lat).to_dict()
+    doc = nagata_report(ext, analysis_for(args)).to_dict()
     print_result(doc, args.json)
     return 0
 
 
 def cmd_oracle(args):
     ext = load_instance(args.path)
-    lat = enumerate_interval(ext, node_budget=args.budget_nodes, threads=args.threads)
+    lat = analysis_for(args).lattice(ext)
     oracle = brute_force_interval(ext, subspace_budget=args.budget_subspaces)
     fast = set(lat.nodes)
     doc = {
@@ -323,8 +327,9 @@ def cmd_oracle(args):
 
 def _check_suite(ext, args):
     """Named invariant checks; yields (name, ok, detail)."""
-    lat = enumerate_interval(ext, node_budget=args.budget_nodes, threads=args.threads)
-    edge_kinds = classify_cover_edges(lat)
+    an = analysis_for(args)
+    lat = an.lattice(ext)
+    edge_kinds = classify_cover_edges(lat, an)
 
     codim = ext.top.dim - ext.bottom.dim
     from .gfq import count_subspaces
@@ -335,9 +340,9 @@ def _check_suite(ext, args):
     else:
         yield "oracle-interval-equality", True, "skipped: over subspace budget"
 
-    dec = canonical_decomposition(ext, lat)
-    infra = is_infra_integral(ext)
-    tcl_res = is_t_closed(ext, args.budget_scan)
+    an.canonical(ext)  # its cross-checks run before the census checks print
+    infra = is_infra_integral(ext, an)
+    tcl_res = is_t_closed(ext, an)
     kinds = [k.kind for k in edge_kinds.values()]
     chains, truncated = maximal_chains(lat)
 
@@ -350,47 +355,47 @@ def _check_suite(ext, args):
     yield "census-vs-predicates", ok, \
         f"infra={infra} all_rd={all_rd} t_closed={tcl_res.value} all_inert={all_inert}"
 
-    supp_set = frozenset(m.basis for m in support(ext))
-    traces = {chain_trace_set(classify_chain(lat, c, edge_kinds)) for c in chains}
+    supp_set = frozenset(m.basis for m in support(ext, an))
+    traces = {chain_trace_set(classify_chain(lat, c, edge_kinds, an)) for c in chains}
     ok = (not truncated) and (len(traces) <= 1) and \
         (not chains or traces == {supp_set} or (len(lat.nodes) == 1 and not supp_set))
     yield "crucial-trace-invariance", ok, f"{len(chains)} chains"
 
-    add = length_additivity_check(ext, lat)
+    add = length_additivity_check(ext, an)
     ok = add.t_split_ok and add.seminormal_split_ok is not False
     yield "length-additivity", ok, \
         f"{add.total} = {add.below_t_closure} + {add.above_t_closure}"
 
-    lam = lambda_crosscheck(ext, lat)
+    lam = lambda_crosscheck(ext, an)
     yield "lambda-consistency", lam.consistent, f"lambda={lam.value}"
 
-    chain_rep = verify_chain_classification(lat, chains[0]) if chains else None
+    chain_rep = verify_chain_classification(lat, chains[0], an) if chains else None
     yield "chain-classification", chain_rep is None or chain_rep.consistent, \
         "; ".join(chain_rep.violations) if chain_rep else "no chains"
 
-    if is_subintegral(ext):
-        a, b = fip_subintegral_crosscheck(ext)
+    if is_subintegral(ext, an):
+        a, b = fip_subintegral_crosscheck(ext, an)
         yield "fip-criteria-agreement", a == b, f"arithmetic={a} filtration={b}"
-        for M in support(ext):
-            loc = localize_extension(ext, M)
-            data = filtration_data(loc)
+        for M in support(ext, an):
+            loc, _ = an.localization(ext, M)
+            data = filtration_data(loc, an)
             if not data.residue_is_field:
-                c1, c2, c3 = filtration_conditions(data)
+                c1, c2, c3 = filtration_conditions(data, an)
                 yield "filtration-tri-equivalence", c1 == c2 == c3, \
                     f"({c1}, {c2}, {c3})"
 
-    arith, _ = is_arithmetic(ext, node_budget=args.budget_nodes)
+    arith, _ = is_arithmetic(ext, an)
     if arith:
         delta, _ = is_delta_extension(ext, lat)
         dist, _ = check_distributivity(lat)
         yield "arithmetic-implies-delta-distributive", delta and dist, \
             f"delta={delta} distributive={dist}"
 
-    nil = nilradical(ext.ambient)
-    cond = conductor(ext.bottom, ext.top)
-    for name, rows in (("nilradical", nil.basis), ("conductor", cond.basis)):
-        if ext.top == ext.ambient.full():
-            ok, detail = quotient_interval_check(ext, rows)
+    if ext.top == ext.ambient.full():
+        nil = an.decomposition(ext.top).nilradical
+        cond = conductor(ext.bottom, ext.top)
+        for name, rows in (("nilradical", nil.basis), ("conductor", cond.basis)):
+            ok, detail = quotient_interval_check(ext, rows, an)
             yield f"quotient-interval-bijection-{name}", ok, str(detail)
 
 
@@ -448,8 +453,11 @@ def make_parser():
             p.add_argument("path", help="instance JSON file")
         p.add_argument("--threads", type=int, default=1,
                        help="enumeration worker threads (output-identical)")
-        p.add_argument("--budget-nodes", type=int, default=20_000)
-        p.add_argument("--budget-scan", type=int, default=2 ** 20)
+        p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+                       help="most nodes any one interval enumeration may find")
+        p.add_argument("--budget-scan", type=int, default=DEFAULT_SCAN_BUDGET,
+                       help="most (b, r) pairs a t-closedness scan may try before "
+                            "it classifies a chain instead")
         p.add_argument("--budget-subspaces", type=int, default=2 ** 24)
 
     p = sub.add_parser("analyze", help="full analysis report")

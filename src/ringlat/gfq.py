@@ -150,9 +150,6 @@ class GF:
             raise ZeroDivisionError("0 has no inverse")
         return self._inv[a]
 
-    def div(self, a, b):
-        return self._mul[a][self.inv(b)]
-
     def elements(self):
         return range(self.q)
 
@@ -400,10 +397,6 @@ def intersect_rowspaces(field, rows_a, rows_b, ncols):
     red = rref(field, block)
     out = [row[ncols:] for row in red if not any(row[:ncols])]
     return rref(field, out)
-
-
-def sum_rowspaces(field, rows_a, rows_b):
-    return rref(field, tuple(rows_a) + tuple(rows_b))
 
 
 def complement_in(field, sub_rows, sup_rows):

@@ -19,12 +19,11 @@ from .algebra import (
     Extension,
     Subalgebra,
     generated_subalgebra,
-    localize_extension,
     support,
 )
+from .analysis import DEFAULT_NODE_BUDGET, Analysis
 from .gfq import complement_in, in_span, intersect_rowspaces, rref
 
-DEFAULT_NODE_BUDGET = 20_000
 DEFAULT_SUBSPACE_BUDGET = 2 ** 24
 DEFAULT_TRANSVERSAL_BUDGET = 2 ** 22
 DEFAULT_CHAIN_BUDGET = 100_000
@@ -72,9 +71,6 @@ class ExtensionLattice:
 
     def up(self, i):
         return tuple(j for a, j in self.covers if a == i)
-
-    def down(self, j):
-        return tuple(i for i, b in self.covers if b == j)
 
     def index_of(self, node):
         for i, n in enumerate(self.nodes):
@@ -206,12 +202,13 @@ class ArithmeticWitness:
     pair: tuple  # two incomparable intermediate rings, in ambient coordinates
 
 
-def is_arithmetic(ext, node_budget=DEFAULT_NODE_BUDGET, threads=1):
+def is_arithmetic(ext, an=None):
     """Chainedness of every localization; returns (bool, failure witnesses)."""
+    an = an or Analysis()
     failures = []
-    for M in support(ext):
-        loc, fac = localize_extension(ext, M, with_map=True)
-        loc_lat = enumerate_interval(loc, node_budget=node_budget, threads=threads)
+    for M in support(ext, an):
+        loc, fac = an.localization(ext, M)
+        loc_lat = an.lattice(loc)
         if is_chained(loc_lat):
             continue
         pair = first_incomparable_pair(loc_lat)
@@ -317,7 +314,7 @@ def greedy_maximal_chain(ext):
     return chain
 
 
-def quotient_interval_check(ext, J_rows):
+def quotient_interval_check(ext, J_rows, an=None):
     """Compare [R+J, S] with [R/I, S/J] through the projection map.
 
     Returns (ok, details): the map must be bijective, order-preserving and
@@ -325,16 +322,17 @@ def quotient_interval_check(ext, J_rows):
     """
     from .algebra import quotient  # local import to avoid cycle at module load
 
+    an = an or Analysis()
     A = ext.ambient
     F = A.field
     if ext.top != A.full():
         raise AlgebraError("quotient comparison requires a full-top extension")
     J_rows = rref(F, J_rows)
     r_plus_j = Subalgebra(A, ext.bottom.basis + J_rows, check=False)
-    lat_up = enumerate_interval(Extension(r_plus_j, ext.top))
+    lat_up = an.lattice(Extension(r_plus_j, ext.top))
     qm = quotient(A, J_rows)
     r_bar = Subalgebra(qm.algebra, qm.project_rows(ext.bottom.basis), check=False)
-    lat_down = enumerate_interval(Extension(r_bar))
+    lat_down = an.lattice(Extension(r_bar))
     images = [qm.project_rows(node.basis) for node in lat_up.nodes]
     down_set = {node.basis for node in lat_down.nodes}
     ok = (len(set(images)) == len(images)

@@ -18,16 +18,15 @@ from .algebra import (
     Subalgebra,
     conductor,
     ideal_power_rows,
-    local_decomposition,
-    localize_extension,
     module_length,
     quotient,
     subspace_algebra,
     support,
 )
+from .analysis import Analysis
 from .canonical import is_subintegral, lambda_invariant, seminormalization
 from .gfq import rref
-from .lattice import enumerate_interval, interval_length, is_arithmetic, is_chained
+from .lattice import interval_length, is_arithmetic, is_chained
 
 TRANSFER_NOTES = {
     "length": "interval length of the base pair carries over unchanged",
@@ -47,11 +46,11 @@ def _full_ambient(ext):
     return Extension(Subalgebra(fac.algebra, rows, check=False))
 
 
-def nilpotency_index(ext):
+def nilpotency_index(ext, an=None):
     """Smallest n >= 1 with M**n inside the conductor, for local R."""
     ext = _full_ambient(ext)
     R, A = ext.bottom, ext.ambient
-    dec = local_decomposition(R)
+    dec = (an or Analysis()).decomposition(R)
     if not dec.is_local:
         raise AlgebraError("nilpotency index requires a local bottom ring")
     M = dec.factors[0].maximal_ideal
@@ -85,13 +84,14 @@ class SubintegralLocalData:
         return not self.maximal_ideal_rows
 
 
-def filtration_data(ext):
+def filtration_data(ext, an=None):
     """Reduce mod the conductor and build the filtration of a local pair."""
+    an = an or Analysis()
     ext = _full_ambient(ext)
     R, S, A = ext.bottom, ext.top, ext.ambient
-    if not local_decomposition(R).is_local:
+    if not an.decomposition(R).is_local:
         raise AlgebraError("filtration data requires a local bottom ring")
-    if not is_subintegral(ext):
+    if not is_subintegral(ext, an):
         raise AlgebraError("filtration data requires a subintegral pair")
     C = conductor(R, S)
     if C.dim:
@@ -104,8 +104,8 @@ def filtration_data(ext):
         A2, R2 = A, R
     if conductor(R2, red.top).dim:
         raise AlgebraError("conductor did not reduce to zero")
-    M_rows = local_decomposition(R2).factors[0].maximal_ideal.basis
-    n = nilpotency_index(red)
+    M_rows = an.decomposition(R2).factors[0].maximal_ideal.basis
+    n = nilpotency_index(red, an)
     F = A2.field
     s_basis = red.top.basis
     r_list, m_list = [], []
@@ -114,9 +114,9 @@ def filtration_data(ext):
         smi = rref(F, [A2.mul(s, m) for s in s_basis for m in mi_pow])
         r_list.append(rref(F, R2.basis + smi))
         m_list.append(rref(F, M_rows + smi))
-    layers = tuple(module_length(R2, m_list[i], m_list[i + 1])
+    layers = tuple(module_length(R2, m_list[i], m_list[i + 1], an)
                    for i in range(1, n))
-    sm_over_m = module_length(R2, m_list[1], M_rows)
+    sm_over_m = module_length(R2, m_list[1], M_rows, an)
     data = SubintegralLocalData(
         reduced=red,
         maximal_ideal_rows=M_rows,
@@ -147,7 +147,7 @@ def _check_filtration(data):
         raise AlgebraError("layer lengths do not add up to the total length")
 
 
-def filtration_conditions(data, node_budget=None):
+def filtration_conditions(data, an=None):
     """The three equivalent chainedness conditions, computed independently.
 
     (1) one module length, (2) the per-layer lengths, (3) a chained test on
@@ -159,8 +159,7 @@ def filtration_conditions(data, node_budget=None):
     A2 = data.reduced.ambient
     r1 = Subalgebra(A2, data.r_chain[1], check=False)
     sub = Extension(data.reduced.bottom, r1)
-    kwargs = {"node_budget": node_budget} if node_budget else {}
-    c3 = is_chained(enumerate_interval(sub, **kwargs))
+    c3 = is_chained((an or Analysis()).lattice(sub))
     return c1, c2, c3
 
 
@@ -171,34 +170,36 @@ class FipResult:
     seminormalization: Subalgebra
 
 
-def nagata_has_fip(ext, lat=None):
+def nagata_has_fip(ext, an=None):
     """Finiteness of the extended interval: the seminormal part must be
     arithmetic."""
-    plus = seminormalization(ext, lat)
-    ok, failures = is_arithmetic(Extension(ext.bottom, plus))
+    an = an or Analysis()
+    plus = seminormalization(ext, an)
+    ok, failures = is_arithmetic(Extension(ext.bottom, plus), an)
     return FipResult(fip=ok, witnesses=failures, seminormalization=plus)
 
 
-def fip_subintegral_crosscheck(ext):
+def fip_subintegral_crosscheck(ext, an=None):
     """Two independent finiteness criteria for a subintegral pair.
 
     Verdict A is chainedness of every localization.  Verdict B localizes,
     reduces mod the conductor, and tests [R_2, S] chained together with
     L(SM/M) = n - 1, with the field case handled directly on [R, S].
     """
-    if not is_subintegral(ext):
+    an = an or Analysis()
+    if not is_subintegral(ext, an):
         raise AlgebraError("crosscheck requires a subintegral pair")
-    verdict_a, _ = is_arithmetic(ext)
+    verdict_a, _ = is_arithmetic(ext, an)
     verdict_b = True
-    for M in support(ext):
-        loc = _full_ambient(localize_extension(ext, M))
-        data = filtration_data(loc)
+    for M in support(ext, an):
+        loc, _ = an.localization(ext, M)
+        data = filtration_data(loc, an)
         if data.residue_is_field:
-            ok = is_chained(enumerate_interval(data.reduced))
+            ok = is_chained(an.lattice(data.reduced))
         else:
             A2 = data.reduced.ambient
             r2 = Subalgebra(A2, data.r_chain[2], check=False)
-            chained = is_chained(enumerate_interval(Extension(r2, data.reduced.top)))
+            chained = is_chained(an.lattice(Extension(r2, data.reduced.top)))
             ok = chained and data.sm_over_m_length == data.n - 1
         if not ok:
             verdict_b = False
@@ -236,19 +237,19 @@ class NagataReport:
         }
 
 
-def nagata_report(ext, lat=None):
-    if lat is None:
-        lat = enumerate_interval(ext)
-    fip_res = nagata_has_fip(ext, lat)
+def nagata_report(ext, an=None):
+    an = an or Analysis()
+    lat = an.lattice(ext)
+    fip_res = nagata_has_fip(ext, an)
     criteria = {"seminormal_part_arithmetic": fip_res.fip}
-    if is_subintegral(ext):
-        a, b = fip_subintegral_crosscheck(ext)
+    if is_subintegral(ext, an):
+        a, b = fip_subintegral_crosscheck(ext, an)
         criteria["subintegral_crosscheck"] = {"arithmetic": a, "filtration": b}
     return NagataReport(
         fip=fip_res.fip,
         cardinality=len(lat.nodes) if fip_res.fip else None,
         length=interval_length(lat),
-        lambda_value=lambda_invariant(ext),
+        lambda_value=lambda_invariant(ext, an),
         witnesses=fip_res.witnesses,
         criteria_agreement=criteria,
     )

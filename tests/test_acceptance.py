@@ -109,7 +109,7 @@ def test_criterion_1_running_example_regression(ex44):
     assert not ky2.contains(ky3) and not ky3.contains(ky2)
     arithmetic, witnesses = is_arithmetic(ex44)
     assert arithmetic is False and witnesses
-    assert nagata_has_fip(ex44, lat).fip is False
+    assert nagata_has_fip(ex44).fip is False
     assert len(lat.nodes) == EX44_CARDINALITY
     assert interval_length(lat) == EX44_LENGTH
     elapsed = time.monotonic() - t0
@@ -163,7 +163,7 @@ def test_criterion_5_length_additivity(mixed_campaign):
     assert len(mixed_campaign) >= 100
     for ext in mixed_campaign:
         lat = enumerate_interval(ext)
-        tcl = t_closure(ext, lat)
+        tcl = t_closure(ext)
         below = interval_length(enumerate_interval(Extension(ext.bottom, tcl)))
         above = interval_length(enumerate_interval(Extension(tcl, ext.top)))
         assert interval_length(lat) == below + above
@@ -173,7 +173,7 @@ def test_criterion_5_length_additivity(mixed_campaign):
 def test_criterion_6_lambda_consistency(mixed_campaign):
     for ext in mixed_campaign:
         lat = enumerate_interval(ext)
-        tcl = t_closure(ext, lat)
+        tcl = t_closure(ext)
         assert lambda_invariant(ext) == lambda_invariant(Extension(tcl, ext.top))
         if tcl == ext.bottom and not ext.is_trivial:  # t-closed instance
             supp = support(ext)

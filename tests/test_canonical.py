@@ -12,6 +12,7 @@ from ringlat.algebra import (
     make_product,
     support,
 )
+from ringlat.analysis import Analysis
 from ringlat.canonical import (
     DECOMPOSED,
     INERT,
@@ -115,8 +116,8 @@ def test_predicates_examples(ext44, F2, F4alg, minimal_trio):
 
 def test_t_closed_scan_vs_chain_paths(ext44, ext64, ext_chain3):
     for ext in (ext44, ext64, ext_chain3):
-        by_scan = is_t_closed(ext, scan_budget=2 ** 20)
-        by_chain = is_t_closed(ext, scan_budget=0)
+        by_scan = is_t_closed(ext, an=Analysis(scan_budget=2 ** 20))
+        by_chain = is_t_closed(ext, an=Analysis(scan_budget=0))
         assert by_scan.method == "scan" and by_chain.method == "chain"
         assert by_scan.value == by_chain.value
 
@@ -136,8 +137,7 @@ def test_t_closed_witness(ext44):
 
 
 def test_seminormalization_examples(ext44, F2, F4alg):
-    lat = enumerate_interval(ext44)
-    assert seminormalization(ext44, lat) == ext44.top  # subintegral pair
+    assert seminormalization(ext44) == ext44.top  # subintegral pair
     extI = Extension(generated_subalgebra(F4alg, []), F4alg)
     assert seminormalization(extI) == extI.bottom  # t-closed pair
     # factor-wise: F2 in F2[Y]/(Y^3) x F4
@@ -165,8 +165,7 @@ def test_t_closure_examples(ext44, F2, F4alg):
 def test_canonical_decomposition_chain(F2, F4alg):
     S = make_product(make_poly_quotient(F2, (0, 0, 0, 1)), F4alg)
     ext = Extension(generated_subalgebra(S, []), S)
-    lat = enumerate_interval(ext)
-    dec = canonical_decomposition(ext, lat)
+    dec = canonical_decomposition(ext)
     plus, tcl = dec.seminormalization, dec.t_closure
     assert tcl.contains(plus) and plus.contains(ext.bottom)
     assert is_subintegral(Extension(ext.bottom, plus))
