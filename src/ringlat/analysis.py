@@ -34,7 +34,7 @@ class Analysis:
     def __init__(self, node_budget=DEFAULT_NODE_BUDGET, scan_budget=DEFAULT_SCAN_BUDGET,
                  threads=1):
         self.node_budget = node_budget    # bounds every interval enumeration
-        self.scan_budget = scan_budget    # bounds every t-closedness pair scan
+        self.scan_budget = scan_budget    # q**(dim S + dim R) limit of every t-closedness scan
         self.threads = threads
         self._lattices = {}
         self._decompositions = {}

@@ -177,24 +177,34 @@ class TClosedResult:
 def is_t_closed(ext, an=None):
     """Closure under the quadratic-cubic membership condition.
 
-    The definitional scan checks every pair (b, r); past the analysis's scan
-    budget we fall back to classifying one maximal chain, every step of
-    which must be inert.
+    R is t-closed in S unless some b in S but not in R and some r in R have
+    b^2 - rb and b^3 - rb^2 in R.  For a fixed b the map r -> (rb, rb^2)
+    mod R is GF(q)-linear, so the search over r is one membership test of
+    (b^2, b^3) mod R in the span of the images of R's basis.  The condition
+    is the same for b and cb, so the definitional scan takes one b per
+    GF(q)-line of S.  The scan runs while q**(dim S + dim R) is within
+    the analysis's scan budget; past it we fall back to classifying one
+    maximal chain, every step of which must be inert.
     """
     an = an or Analysis()
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
     if F.q ** (S.dim + R.dim) <= an.scan_budget:
-        r_elements = list(gfq.span_vectors(F, R.basis)) if R.dim else [A.zero]
-        for b in gfq.span_vectors(F, S.basis):
+        def mod_r(u, v):
+            return gfq.reduce_vec(F, R.basis, u) + gfq.reduce_vec(F, R.basis, v)
+
+        for b in gfq.line_vectors(F, S.basis):
             if R.contains_vector(b):
                 continue
             b2 = A.mul(b, b)
-            b3 = A.mul(b2, b)
-            for r in r_elements:
-                if (R.contains_vector(gfq.vsub(F, b2, A.mul(r, b)))
-                        and R.contains_vector(gfq.vsub(F, b3, A.mul(r, b2)))):
-                    return TClosedResult(False, "scan", (b, r))
+            target = mod_r(b2, A.mul(b2, b))
+            images = [mod_r(A.mul(r, b), A.mul(r, b2)) for r in R.basis]
+            if gfq.in_span(F, rref(F, images), target):
+                coeffs = gfq.express(F, images, target)
+                r = A.zero
+                for c, row in zip(coeffs, R.basis):
+                    r = gfq.vadd(F, r, gfq.vscale(F, c, row))
+                return TClosedResult(False, "scan", (b, r))
         return TClosedResult(True, "scan")
     chain = greedy_maximal_chain(ext)
     for lo, hi in zip(chain, chain[1:]):

@@ -456,8 +456,9 @@ def make_parser():
         p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                        help="most nodes any one interval enumeration may find")
         p.add_argument("--budget-scan", type=int, default=DEFAULT_SCAN_BUDGET,
-                       help="most (b, r) pairs a t-closedness scan may try before "
-                            "it classifies a chain instead")
+                       help="largest q^(dim S + dim R) for which a t-closedness test "
+                            "runs the definitional scan; past it, it classifies a "
+                            "maximal chain instead")
         p.add_argument("--budget-subspaces", type=int, default=2 ** 24)
 
     p = sub.add_parser("analyze", help="full analysis report")

@@ -424,12 +424,23 @@ def span_vectors(field, rows):
         yield v
 
 
-def transversal(field, comp_rows, ncols):
-    """All coset representatives spanned by a complement basis, 0 included."""
-    if not comp_rows:
-        yield zero_vec(ncols)
-        return
-    yield from span_vectors(field, comp_rows)
+def line_vectors(field, rows):
+    """One vector of each line (1-dim subspace) of the span of independent rows.
+
+    The representative of a line is the first of its vectors that
+    span_vectors meets: its coefficient tuple over rows has leading entry 1.
+    For echelon rows (as rref returns them) that is the vector whose leading
+    entry is 1, the lexicographically first vector of its line.  Vectors
+    come in span_vectors order, (q**k - 1) / (q - 1) of them for k rows.
+    """
+    k = len(rows)
+    for lead in reversed(range(k)):
+        for tail in itertools.product(field.elements(), repeat=k - 1 - lead):
+            v = rows[lead]
+            for c, row in zip(tail, rows[lead + 1:]):
+                if c:
+                    v = vadd(field, v, vscale(field, c, row))
+            yield v
 
 
 def count_subspaces(q, n):

@@ -1,10 +1,12 @@
 """The interval [R, S] of intermediate rings: enumeration and order structure.
 
-Enumeration is a breadth-first closure: from each known intermediate ring,
-adjoin every coset representative of the top ring and close under
-multiplication.  Completeness follows because any strictly larger
-intermediate ring contains a one-element enlargement.  A brute-force scan
-over all subspaces serves as an independent oracle.
+Enumeration is a breadth-first closure: from each known intermediate ring T,
+adjoin one vector s of each GF(q)-line of a complement of T in the top ring
+and close under multiplication, (q**codim - 1) / (q - 1) closures per node.
+Completeness follows because any strictly larger intermediate ring contains
+a one-element enlargement T[s] with s in the complement, and T[s] = T[cs]
+for every nonzero scalar c.  A brute-force scan over all subspaces serves as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def _closure_tasks(ext, node):
     comp = complement_in(F, node.basis, ext.top.basis)
     if F.q ** len(comp) > DEFAULT_TRANSVERSAL_BUDGET:
         raise BudgetExceeded("coset transversal", DEFAULT_TRANSVERSAL_BUDGET)
-    return [s for s in gfq.transversal(F, comp, ext.ambient.dim) if any(s)]
+    return list(gfq.line_vectors(F, comp))
 
 
 def enumerate_interval(ext, node_budget=DEFAULT_NODE_BUDGET, threads=1):

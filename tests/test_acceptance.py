@@ -139,6 +139,15 @@ def test_criterion_2_oracle_equivalence():
         assert fast == brute_force_interval(ext)
         sampled += 1
     assert sampled >= 50
+    # seeded samples over extension fields, where a line has more than
+    # p - 1 nonzero scalar multiples
+    for q, count in ((4, 50), (9, 30)):
+        for ext in random_extension(GenSpec(seed=100 * q, q=q, max_dim=4,
+                                            shape="mixed", count=count)):
+            fast = set(enumerate_interval(ext).nodes)
+            assert fast == brute_force_interval(ext)
+            sampled += 1
+    assert sampled >= 130
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     report(2, f"oracle equivalence on {checked} exhaustive + {sampled} sampled")

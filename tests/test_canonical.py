@@ -1,5 +1,6 @@
 import pytest
 
+from ringlat import gfq
 from ringlat.algebra import (
     Extension,
     InternalInvariantError,
@@ -35,6 +36,7 @@ from ringlat.canonical import (
     t_closure,
     verify_chain_classification,
 )
+from ringlat.gen import GenSpec, random_extension
 from ringlat.gfq import GF, irreducible_poly
 from ringlat.lattice import enumerate_interval, maximal_chains
 
@@ -115,11 +117,70 @@ def test_predicates_examples(ext44, F2, F4alg, minimal_trio):
 
 
 def test_t_closed_scan_vs_chain_paths(ext44, ext64, ext_chain3):
-    for ext in (ext44, ext64, ext_chain3):
+    F4, F9 = GF(2, 2), GF(3, 2)
+    f4_y3 = make_poly_quotient(F4, (0, 0, 0, 1))
+    f729 = make_poly_quotient(F9, irreducible_poly(F9, 3))
+    extra = [Extension(generated_subalgebra(S, []), S) for S in (f4_y3, f729)]
+    for ext in (ext44, ext64, ext_chain3, *extra):
         by_scan = is_t_closed(ext, an=Analysis(scan_budget=2 ** 20))
         by_chain = is_t_closed(ext, an=Analysis(scan_budget=0))
         assert by_scan.method == "scan" and by_chain.method == "chain"
         assert by_scan.value == by_chain.value
+
+
+def reference_t_closed(ext):
+    """The definitional scan: the first pair (b, r) in S x R with b outside R
+    and b^2 - rb, b^3 - rb^2 in R, trying every r for every b."""
+    R, S, A = ext.bottom, ext.top, ext.ambient
+    F = A.field
+    r_elements = list(gfq.span_vectors(F, R.basis))
+    for b in gfq.span_vectors(F, S.basis):
+        if R.contains_vector(b):
+            continue
+        b2 = A.mul(b, b)
+        b3 = A.mul(b2, b)
+        for r in r_elements:
+            if (R.contains_vector(gfq.vsub(F, b2, A.mul(r, b)))
+                    and R.contains_vector(gfq.vsub(F, b3, A.mul(r, b2)))):
+                return False, (b, r)
+    return True, None
+
+
+def violates_t_closedness(ext, b, r):
+    R, A = ext.bottom, ext.ambient
+    F = A.field
+    b2 = A.mul(b, b)
+    return (ext.top.contains_vector(b) and R.contains_vector(r)
+            and not R.contains_vector(b)
+            and R.contains_vector(gfq.vsub(F, b2, A.mul(r, b)))
+            and R.contains_vector(gfq.vsub(F, A.mul(b2, b), A.mul(r, b2))))
+
+
+@pytest.mark.parametrize("q,shape,seed", [
+    (3, "local-subintegral", 31), (3, "product-of-locals", 32),
+    (4, "local-subintegral", 41), (4, "product-of-locals", 42),
+    (9, "local-subintegral", 91), (9, "product-of-locals", 92),
+    (9, "field-tower", 93),
+])
+def test_t_closed_scan_matches_reference(q, shape, seed):
+    """Every node n of seeded instances: is_t_closed finds [n, S] t-closed
+    exactly when the pair-by-pair scan does, and a scan witness is the
+    reference's b with an r that satisfies the definition."""
+    max_dim = 3 if q == 9 else 4
+    pairs = 0
+    for ext in random_extension(GenSpec(seed=seed, q=q, max_dim=max_dim,
+                                        shape=shape, count=3)):
+        for node in enumerate_interval(ext).nodes:
+            sub = Extension(node, ext.top)
+            expected, ref_witness = reference_t_closed(sub)
+            got = is_t_closed(sub)
+            assert got.value == expected
+            if got.method == "scan" and not expected:
+                b, r = got.witness
+                assert b == ref_witness[0]
+                assert violates_t_closedness(sub, b, r)
+            pairs += 1
+    assert pairs >= 6
 
 
 def test_t_closed_witness(ext44):

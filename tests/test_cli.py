@@ -162,6 +162,17 @@ def test_check_generated_campaign():
     assert rc == 0 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("args", [
+    ("mixed", "--q", "4", "--max-dim", "4", "--count", "10"),
+    ("mixed", "--q", "9", "--max-dim", "3", "--count", "6"),
+    ("product-of-locals", "--q", "4", "--max-dim", "4", "--count", "6"),
+], ids=["mixed-q4", "mixed-q9", "product-q4"])
+def test_check_extension_field_campaign(capsys, args):
+    assert main(["check", "--gen", *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines)
+
+
 def test_gen_subcommand(tmp_path):
     out_dir = tmp_path / "instances"
     rc, out, _ = run_cli(["gen", "--shape", "field-tower", "--seed", "1",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,45 @@ def test_complement_extends_basis():
     comp = complement_in(F, sub, sup)
     assert len(comp) == 2
     assert rref(F, sub + comp) == rref(F, sup)
+
+
+def _first_of_each_line(F, rows):
+    """The first vector of each line that span_vectors meets, in that order."""
+    firsts, seen = [], set()
+    for v in gfq.span_vectors(F, rows):
+        if any(v) and v not in seen:
+            firsts.append(v)
+            seen.update(gfq.vscale(F, c, v) for c in range(1, F.q))
+    return firsts
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_line_vectors_one_per_line(q):
+    F = GF(*prime_power(q))
+    rng = random.Random(q)
+    for k, n in ((1, 3), (2, 3), (2, 4), (3, 4), (3, 4)):
+        rows = rref(F, [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)])
+        got = list(gfq.line_vectors(F, rows))
+        nonzero = {v for v in gfq.span_vectors(F, rows) if any(v)}
+        lines = [frozenset(gfq.vscale(F, c, v) for c in range(1, q)) for v in got]
+        assert len(got) == (q ** len(rows) - 1) // (q - 1)
+        assert len(set(lines)) == len(lines) and set().union(*lines) == nonzero
+        assert all(next(x for x in v if x) == 1 for v in got)
+        meet = iter(gfq.span_vectors(F, rows))
+        assert all(v in meet for v in got)  # a subsequence of span_vectors
+        assert got == _first_of_each_line(F, rows)
+
+
+def test_line_vectors_of_non_echelon_rows_follow_span_order():
+    """Over rows that are not in echelon form the representative is still the
+    first vector of its line in span_vectors order, so a caller that keeps
+    the first result of each line sees the lines in the same order."""
+    F = GF(3)
+    rows = ((0, 1, 1), (2, 0, 1))
+    got = list(gfq.line_vectors(F, rows))
+    assert got == _first_of_each_line(F, rows)
+    assert got == [(2, 0, 1), (0, 1, 1), (2, 1, 2), (1, 1, 0)]
+    assert list(gfq.line_vectors(F, ())) == []
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])

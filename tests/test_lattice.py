@@ -54,6 +54,29 @@ def test_brute_force_minimal_decomposed(F2):
     assert len(brute_force_interval(ext)) == 2
 
 
+@pytest.mark.parametrize("n,from_bottom", [(2, 1), (3, 10)])
+def test_one_closure_per_line(monkeypatch, n, from_bottom):
+    """GF(9) inside GF(9)[Y]/(Y^n): adjoining s or cs gives the same ring, so
+    enumeration closes (9**codim - 1) / 8 vectors from the bottom, not
+    9**codim - 1."""
+    from ringlat import lattice
+    from ringlat.algebra import make_poly_quotient
+
+    T = make_poly_quotient(GF(3, 2), (0,) * n + (1,))
+    ext = Extension(generated_subalgebra(T, []), T)
+    seeds = []
+    original = lattice.generated_subalgebra
+
+    def counting(A, gens, seed=None):
+        seeds.append(seed)
+        return original(A, gens, seed=seed)
+
+    monkeypatch.setattr(lattice, "generated_subalgebra", counting)
+    lat = enumerate_interval(ext)
+    assert seeds.count(ext.bottom) == from_bottom
+    assert set(lat.nodes) == brute_force_interval(ext)
+
+
 def test_node_budget(ext44):
     with pytest.raises(BudgetExceeded):
         enumerate_interval(ext44, node_budget=2)
