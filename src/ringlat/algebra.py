@@ -4,8 +4,10 @@ An :class:`Algebra` is given by structure constants on a fixed basis and is
 validated (commutative, associative, unital) at construction.  Subalgebras
 and ideals store their vectors in the coordinates of one fixed ambient
 Algebra, as canonical reduced-echelon bases, so equality and hashing are
-structural.  Quotients and idempotent factors are new Algebra objects
-connected to their source by explicit linear maps.
+structural.  Every function that takes a ring takes a Subalgebra
+(``A.full()`` for the whole algebra); only :class:`Extension` also accepts
+an Algebra, as its top.  Quotients and idempotent factors are new Algebra
+objects connected to their source by explicit linear maps.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -137,23 +139,16 @@ class Algebra:
         return f"Algebra(dim={self.dim}, q={self.field.q})"
 
 
-class Subalgebra:
-    """Unital multiplicatively closed subspace of an Algebra.
+class Subspace:
+    """Subspace of an ambient Algebra on its canonical reduced-echelon basis.
 
-    The basis is the canonical reduced echelon form, so two subalgebras of
-    the same ambient algebra are equal iff their basis tuples are equal.
+    Two subspaces are equal iff they have the same class, the same ambient
+    algebra and the same basis tuple.
     """
 
-    def __init__(self, ambient, rows, check=True):
+    def __init__(self, ambient, rows):
         self.ambient = ambient
         self.basis = rref(ambient.field, rows)
-        if check:
-            F = ambient.field
-            if not in_span(F, self.basis, ambient.one):
-                raise AlgebraError("subalgebra must contain the unit")
-            for a, b in itertools.combinations_with_replacement(self.basis, 2):
-                if not in_span(F, self.basis, ambient.mul(a, b)):
-                    raise AlgebraError("subspace not closed under multiplication")
 
     @property
     def dim(self):
@@ -166,56 +161,52 @@ class Subalgebra:
         return all(self.contains_vector(v) for v in other.basis)
 
     def __eq__(self, other):
-        return (isinstance(other, Subalgebra) and other.ambient is self.ambient
+        return (type(other) is type(self) and other.ambient is self.ambient
                 and other.basis == self.basis)
 
     def __hash__(self):
         return hash((id(self.ambient), self.basis))
 
     def __repr__(self):
-        return f"Subalgebra(dim={self.dim}, basis={[list(r) for r in self.basis]})"
+        return f"{type(self).__name__}(dim={self.dim}, basis={[list(r) for r in self.basis]})"
 
 
-class Ideal:
-    """Subspace closed under multiplication by a ring (Algebra or Subalgebra).
+class Subalgebra(Subspace):
+    """Unital multiplicatively closed subspace of an Algebra: the one ring type."""
 
-    Vectors are stored in the coordinates of the top-level ambient Algebra.
+    def __init__(self, ambient, rows, check=True):
+        super().__init__(ambient, rows)
+        if check:
+            if not self.contains_vector(ambient.one):
+                raise AlgebraError("subalgebra must contain the unit")
+            for a, b in itertools.combinations_with_replacement(self.basis, 2):
+                if not self.contains_vector(ambient.mul(a, b)):
+                    raise AlgebraError("subspace not closed under multiplication")
+
+
+class Ideal(Subspace):
+    """Subspace of a ring (a Subalgebra) closed under multiplication by it.
+
+    Vectors are stored in the coordinates of the ring's ambient Algebra.
     """
 
     def __init__(self, ring, rows, check=True):
-        self.ring = ring
-        self.ambient = ring if isinstance(ring, Algebra) else ring.ambient
-        self.basis = rref(self.ambient.field, rows)
+        super().__init__(ring.ambient, rows)
         if check:
-            F = self.ambient.field
-            ring_rows = ring.basis() if isinstance(ring, Algebra) else ring.basis
             for x in self.basis:
-                if not in_span(F, ring_rows, x):
+                if not ring.contains_vector(x):
                     raise AlgebraError("ideal not contained in its ring")
-                for r in ring_rows:
-                    if not in_span(F, self.basis, self.ambient.mul(r, x)):
+                for r in ring.basis:
+                    if not self.contains_vector(self.ambient.mul(r, x)):
                         raise AlgebraError("subspace not an ideal of the ring")
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def contains_vector(self, v):
-        return in_span(self.ambient.field, self.basis, v)
-
-    def __eq__(self, other):
-        return (isinstance(other, Ideal) and other.ambient is self.ambient
-                and other.basis == self.basis)
-
-    def __hash__(self):
-        return hash((id(self.ambient), self.basis))
-
-    def __repr__(self):
-        return f"Ideal(dim={self.dim}, basis={[list(r) for r in self.basis]})"
 
 
 class Extension:
-    """A pair bottom <= top of subalgebras of a common ambient algebra."""
+    """A pair bottom <= top of subalgebras of a common ambient algebra.
+
+    A top given as an Algebra, or left out, stands for the whole ambient
+    (``A.full()``); everywhere else a ring is a Subalgebra.
+    """
 
     def __init__(self, bottom, top=None):
         if top is None:
@@ -325,22 +316,14 @@ def generated_subalgebra(ambient, gens, seed=None):
         rows = new
 
 
-def span_rows_of(ring):
-    return ring.basis() if isinstance(ring, Algebra) else ring.basis
-
-
 # ---------------------------------------------------------------------------
 # ideals
 
 
-def conductor(R, S=None):
+def conductor(R, S):
     """Largest common ideal of R and S: all x in R with x*S inside R."""
     A = R.ambient
     F = A.field
-    if S is None:
-        S = A.full()
-    if isinstance(S, Algebra):
-        S = S.full()
     if not S.contains(R):
         raise AlgebraError("conductor requires R <= S")
     unknown_rows = []
@@ -391,17 +374,16 @@ def ideal_power_rows(A, ring_rows, m_rows, k):
 
 def nilradical(ring):
     """Ideal of nilpotents, via the kernel of x -> x**(p^m) over GF(p)."""
-    A = ring if isinstance(ring, Algebra) else ring.ambient
+    A = ring.ambient
     F = A.field
-    ring_rows = span_rows_of(ring)
-    d = len(ring_rows)
+    d = ring.dim
     pm = 1
     while pm < d:
         pm *= F.p
     # GF(p)-basis of the ring: scalar powers y^j times each basis row
     fp_scalars = [F._encode([1 if k == j else 0 for k in range(F.e)])
                   for j in range(F.e)]
-    fp_basis = [vscale(F, s, r) for r in ring_rows for s in fp_scalars]
+    fp_basis = [vscale(F, s, r) for r in ring.basis for s in fp_scalars]
     Fp = F.prime_field()
     constraint_rows = []
     for v in fp_basis:
@@ -490,9 +472,9 @@ class QuotientMap:
 
 
 def quotient(A, J):
-    """Quotient of an Algebra by a proper ideal, with projection maps."""
-    rows = J.basis if isinstance(J, Ideal) else rref(A.field, J)
-    Ideal(A, rows)  # validates J is an ideal of A
+    """Quotient of an Algebra by a proper ideal given by rows, with projection maps."""
+    rows = rref(A.field, J)
+    Ideal(A.full(), rows)  # validates J is an ideal of A
     if in_span(A.field, rows, A.one):
         raise AlgebraError("improper ideal: the unit maps to zero")
     piv = set(gfq.pivots_of(rows))
@@ -525,7 +507,7 @@ class LocalFactor:
 class LocalDecomposition:
     """Complete orthogonal idempotents and the local factors they cut out."""
 
-    ring: object
+    ring: Subalgebra              # the decomposed ring
     factors: tuple
     nilradical: Ideal             # the intersection of the maximal ideals
 
@@ -637,25 +619,21 @@ def _eval_dependency(F, coeffs, lam):
 
 
 def local_decomposition(ring):
-    """Split an Artinian ring into local factors along its idempotents."""
-    A = ring if isinstance(ring, Algebra) else ring.ambient
+    """Split an Artinian ring (a Subalgebra) into local factors along its idempotents."""
+    A = ring.ambient
     F = A.field
     nil = nilradical(ring)
-    if isinstance(ring, Algebra):
-        idems = _primitive_idempotents(ring, nil.basis)
-    else:
-        fmap = subspace_algebra(A, ring.basis, A.one)
-        idems = [fmap.embed(e) for e in
-                 _primitive_idempotents(fmap.algebra, fmap.coords_rows(nil.basis))]
-    ring_rows = span_rows_of(ring)
+    fmap = subspace_algebra(A, ring.basis, A.one)
+    idems = [fmap.embed(e) for e in
+             _primitive_idempotents(fmap.algebra, fmap.coords_rows(nil.basis))]
     factors = []
     for e in idems:
-        e_rows = rref(F, [A.mul(e, r) for r in ring_rows])
+        e_rows = rref(F, [A.mul(e, r) for r in ring.basis])
         factor = subspace_algebra(A, e_rows, e)
         # the nilradical of the factor e*ring is e times that of the ring
         fnil_dim = len(rref(F, [A.mul(e, v) for v in nil.basis]))
         one_minus_e = vsub(F, A.one, e)
-        m_rows = rref(F, [A.mul(one_minus_e, r) for r in ring_rows]
+        m_rows = rref(F, [A.mul(one_minus_e, r) for r in ring.basis]
                       + list(nil.basis))
         factors.append(LocalFactor(
             idempotent=e,
@@ -663,7 +641,7 @@ def local_decomposition(ring):
             maximal_ideal=Ideal(ring, m_rows),
             residue_degree=factor.algebra.dim - fnil_dim,
         ))
-    if sum(f.factor.algebra.dim for f in factors) != len(ring_rows):
+    if sum(f.factor.algebra.dim for f in factors) != ring.dim:
         raise InternalInvariantError("local-factor-dims",
                                      "factor dimensions do not add up")
     return LocalDecomposition(ring=ring, factors=tuple(factors), nilradical=nil)
@@ -671,12 +649,11 @@ def local_decomposition(ring):
 
 def brute_force_idempotents(ring, budget=4096):
     """All idempotents by exhaustive scan; independent oracle for tests."""
-    A = ring if isinstance(ring, Algebra) else ring.ambient
-    rows = span_rows_of(ring)
-    if A.field.q ** len(rows) > budget:
+    A = ring.ambient
+    if A.field.q ** ring.dim > budget:
         raise AlgebraError("idempotent scan budget exceeded")
     out = []
-    for v in gfq.span_vectors(A.field, rows):
+    for v in gfq.span_vectors(A.field, ring.basis):
         if A.mul(v, v) == v:
             out.append(v)
     return sorted(out)
@@ -686,8 +663,12 @@ def brute_force_idempotents(ring, budget=4096):
 # localization, length, support
 
 
-def localize_extension(ext, M, with_map=False, an=None):
-    """Localize R <= S at a maximal ideal M of R (idempotent projection)."""
+def localize_extension(ext, M, an=None):
+    """Localize R <= S at a maximal ideal M of R (idempotent projection).
+
+    Returns (localized extension, factor map); the map is None, and the
+    extension ext itself, when R is local.
+    """
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
     dec = (an or Analysis()).decomposition(R)
@@ -695,13 +676,13 @@ def localize_extension(ext, M, with_map=False, an=None):
     if not match:
         raise AlgebraError("not a maximal ideal of the bottom ring")
     if dec.is_local:
-        return (ext, None) if with_map else ext
+        return ext, None
     e = match[0].idempotent
     s_rows = rref(F, [A.mul(e, s) for s in S.basis])
     fac = subspace_algebra(A, s_rows, e)
     r_rows = fac.coords_rows([A.mul(e, r) for r in R.basis])
     loc = Extension(Subalgebra(fac.algebra, r_rows, check=False))
-    return (loc, fac) if with_map else loc
+    return loc, fac
 
 
 def support(ext, an=None):
@@ -727,16 +708,15 @@ def module_length(R, e_rows, f_rows=(), an=None):
     row bases.  Each radical layer is split along the idempotents of R and
     measured over the residue field of the matching local factor.
     """
-    A = R.ambient if isinstance(R, Subalgebra) else R
+    A = R.ambient
     F = A.field
-    ring_rows = span_rows_of(R)
     e_rows = rref(F, e_rows)
     f_rows = rref(F, f_rows)
     for v in f_rows:
         if not in_span(F, e_rows, v):
             raise AlgebraError("F not contained in E")
     for rows in (e_rows, f_rows):
-        for r in ring_rows:
+        for r in R.basis:
             for x in rows:
                 if not in_span(F, rows, A.mul(r, x)):
                     raise AlgebraError("module subspace not stable under the ring")
@@ -761,6 +741,7 @@ def module_length(R, e_rows, f_rows=(), an=None):
     return total
 
 
-def intersect_with(sub_or_rows, rows, ambient):
-    other = sub_or_rows.basis if hasattr(sub_or_rows, "basis") else sub_or_rows
-    return intersect_rowspaces(ambient.field, other, rows, ambient.dim)
+def intersect_with(ring, rows):
+    """Rref basis of the intersection of a ring with the span of rows."""
+    A = ring.ambient
+    return intersect_rowspaces(A.field, ring.basis, rows, A.dim)

@@ -65,8 +65,7 @@ class Analysis:
         loc = self._localizations.get(key)
         if loc is None:
             from .algebra import localize_extension
-            loc = self._localizations[key] = localize_extension(
-                ext, M, with_map=True, an=self)
+            loc = self._localizations[key] = localize_extension(ext, M, an=self)
         return loc
 
     def canonical(self, ext):

@@ -94,16 +94,7 @@ def classify_minimal(T, U, an=None):
 
 def crucial_ideal(T, U, an=None):
     """The unique maximal ideal of T where the pair is locally nontrivial."""
-    A = T.ambient
-    F = A.field
-    dec_t = (an or Analysis()).decomposition(T)
-    diffs = []
-    for f in dec_t.factors:
-        e = f.idempotent
-        dim_t = len(rref(F, [A.mul(e, r) for r in T.basis]))
-        dim_u = len(rref(F, [A.mul(e, r) for r in U.basis]))
-        if dim_t != dim_u:
-            diffs.append(f.maximal_ideal)
+    diffs = support(Extension(T, U), an)
     if len(diffs) != 1:
         raise InternalInvariantError(
             "crucial-uniqueness",
@@ -129,14 +120,14 @@ class ResidualExtension:
 def residual_extensions(ext, an=None):
     """Residue-field data at every maximal ideal of the top ring."""
     an = an or Analysis()
-    R, S, A = ext.bottom, ext.top, ext.ambient
+    R, S = ext.bottom, ext.top
     dec_s = an.decomposition(S)
     dec_r = an.decomposition(R)
     max_r = {f.maximal_ideal.basis: f.maximal_ideal for f in dec_r.factors}
     out = []
     for f in sorted(dec_s.factors, key=lambda f: f.maximal_ideal.basis):
         Q = f.maximal_ideal
-        p_rows = intersect_with(R, Q.basis, A)
+        p_rows = intersect_with(R, Q.basis)
         if p_rows not in max_r:
             raise InternalInvariantError(
                 "contraction-not-maximal",
@@ -340,12 +331,11 @@ def classify_chain(lat, chain, edge_kinds=None, an=None):
     steps = []
     traces = []
     R = lat.ext.bottom
-    A = lat.ext.ambient
     for i, j in zip(chain.nodes, chain.nodes[1:]):
         kind = edge_kinds.get((i, j)) or classify_minimal(lat.nodes[i], lat.nodes[j], an)
         steps.append(kind)
         crux = crucial_ideal(lat.nodes[i], lat.nodes[j], an)
-        traces.append(intersect_with(R, crux.basis, A))
+        traces.append(intersect_with(R, crux.basis))
     chain.steps = tuple(steps)
     chain.crucial_traces = tuple(traces)
     return chain

@@ -204,7 +204,7 @@ def build_result(ext, args):
     dec = an.canonical(ext)
     tcl = dec.t_closure
     arith, _ = is_arithmetic(ext, an)
-    delta, _ = is_delta_extension(ext, lat)
+    delta, _ = is_delta_extension(lat)
     nrep = nagata_report(ext, an)
     supp = support(ext, an)
     doc = {
@@ -281,7 +281,7 @@ def cmd_lattice(args):
 
     def edge_label(edge):
         kind = edge_kinds[edge]
-        trace = intersect_with(ext.bottom, kind.conductor.basis, ext.ambient)
+        trace = intersect_with(ext.bottom, kind.conductor.basis)
         idx = supp_index.get(trace, "-")
         return f"{kind.kind[0].upper()}{idx}"
 
@@ -331,14 +331,13 @@ def _check_suite(ext, args):
     lat = an.lattice(ext)
     edge_kinds = classify_cover_edges(lat, an)
 
-    codim = ext.top.dim - ext.bottom.dim
-    from .gfq import count_subspaces
-    if count_subspaces(ext.ambient.field.q, codim) <= args.budget_subspaces:
+    try:
         oracle = brute_force_interval(ext, subspace_budget=args.budget_subspaces)
-        yield "oracle-interval-equality", set(lat.nodes) == oracle, \
-            f"{len(lat.nodes)} nodes"
+    except BudgetExceeded:
+        ok, detail = True, "skipped: over subspace budget"
     else:
-        yield "oracle-interval-equality", True, "skipped: over subspace budget"
+        ok, detail = set(lat.nodes) == oracle, f"{len(lat.nodes)} nodes"
+    yield "oracle-interval-equality", ok, detail
 
     an.canonical(ext)  # its cross-checks run before the census checks print
     infra = is_infra_integral(ext, an)
@@ -386,7 +385,7 @@ def _check_suite(ext, args):
 
     arith, _ = is_arithmetic(ext, an)
     if arith:
-        delta, _ = is_delta_extension(ext, lat)
+        delta, _ = is_delta_extension(lat)
         dist, _ = check_distributivity(lat)
         yield "arithmetic-implies-delta-distributive", delta and dist, \
             f"delta={delta} distributive={dist}"

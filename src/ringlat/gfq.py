@@ -71,7 +71,7 @@ class GF:
             if e == 1:
                 modulus = (0, 1)
             elif q <= MAX_DEFAULT_MODULUS_Q:
-                modulus = default_modulus(p, e)
+                modulus = irreducible_poly(self.prime_field(), e)
             else:
                 raise ValueError(f"modulus must be supplied for q = {q} > "
                                  f"{MAX_DEFAULT_MODULUS_Q}")
@@ -85,7 +85,7 @@ class GF:
             raise ValueError(f"modulus coefficients must lie in range({self.p})")
         if f[-1] != 1:
             raise ValueError("modulus must be monic")
-        if self.e > 1 and not _is_irreducible_mod_p(f, self.p):
+        if self.e > 1 and not poly_is_irreducible(self.prime_field(), f):
             raise ValueError(f"modulus {f} is reducible over GF({self.p})")
         return f
 
@@ -171,50 +171,6 @@ class GF:
         if self.e == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.e}; mod={list(self.modulus)})"
-
-
-def _poly_divmod_p(num, den, p):
-    num = list(num)
-    dn = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    quot = [0] * max(0, len(num) - dn)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = (num[k] * inv_lead) % p
-        if c:
-            quot[k - dn] = c
-            for j in range(dn + 1):
-                num[k - dn + j] = (num[k - dn + j] - c * den[j]) % p
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _is_irreducible_mod_p(f, p):
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]
-            _, rem = _poly_divmod_p(f, g, p)
-            if not rem:
-                return False
-    return True
-
-
-_DEFAULT_MODULI = {}
-
-
-def default_modulus(p, e):
-    """Lexicographically first monic irreducible of degree e over GF(p)."""
-    key = (p, e)
-    if key not in _DEFAULT_MODULI:
-        for tail in itertools.product(range(p), repeat=e):
-            f = tuple(tail) + (1,)
-            if _is_irreducible_mod_p(f, p):
-                _DEFAULT_MODULI[key] = f
-                break
-        else:
-            raise AssertionError("no irreducible polynomial found")
-    return _DEFAULT_MODULI[key]
 
 
 def poly_is_irreducible(field, f):
@@ -333,59 +289,37 @@ def contains_rows(field, rows, other_rows):
     return all(in_span(field, rows, v) for v in other_rows)
 
 
-def rref_with_transform(field, rows):
-    """(R, T) with R the rref of rows and R = T @ rows (T over the field)."""
+def _rref_with_identity(field, rows):
+    """The rref of [rows | I].
+
+    Every row (a | x) of it has a = sum x_i rows_i.  The rows with a = 0
+    come last, and their x parts are an rref basis of the left kernel.
+    """
     m = len(rows)
-    if m == 0:
-        return (), ()
-    n = len(rows[0])
-    aug = [list(r) + [1 if i == j else 0 for j in range(m)] for i, r in enumerate(rows)]
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(inv, x) for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        r += 1
-        if r == m:
-            break
-    R = tuple(tuple(row[:n]) for row in aug[:r] if any(row[:n]))
-    T = tuple(tuple(row[n:]) for row in aug[:len(R)])
-    return R, T
+    return rref(field, [tuple(r) + tuple(1 if i == j else 0 for j in range(m))
+                        for i, r in enumerate(rows)])
 
 
 def express(field, rows, vec):
-    """Coefficients writing vec over the (arbitrary) rows, or None."""
-    R, T = rref_with_transform(field, rows)
-    coeffs = coords_in_rref(field, R, vec)
-    if coeffs is None:
+    """Coefficients writing vec over the (arbitrary) rows, or None.
+
+    Reducing (vec | 0) by the rref of [rows | I] leaves (vec - a | -x) with
+    a = sum x_i rows_i, so vec lies in the span iff the left part vanishes.
+    """
+    n = len(vec)
+    red = reduce_vec(field, _rref_with_identity(field, rows),
+                     tuple(vec) + zero_vec(len(rows)))
+    if any(red[:n]):
         return None
-    out = [0] * len(rows)
-    for c, trow in zip(coeffs, T):
-        if c:
-            for j, t in enumerate(trow):
-                if t:
-                    out[j] = field.add(out[j], field.mul(c, t))
-    return tuple(out)
+    return tuple(field.neg(x) for x in red[n:])
 
 
 def left_kernel(field, rows):
     """Basis (rref) of all coefficient vectors x with sum x_i rows_i = 0."""
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return ()
     n = len(rows[0])
-    aug = [tuple(r) + tuple(1 if i == j else 0 for j in range(m))
-           for i, r in enumerate(rows)]
-    red = rref(field, aug)
-    out = [row[n:] for row in red if not any(row[:n])]
-    return rref(field, out)
+    return tuple(row[n:] for row in _rref_with_identity(field, rows) if not any(row[:n]))
 
 
 def intersect_rowspaces(field, rows_a, rows_b, ncols):

@@ -235,10 +235,8 @@ def _pull_back_node(ext, fac, node):
 
 
 def is_pinched_at(lat, node):
-    """True iff every node is comparable with the given node."""
-    i = node if isinstance(node, int) else lat.index_of(node)
-    if not 0 <= i < len(lat.nodes):
-        raise AlgebraError("not a node of this lattice")
+    """True iff every node is comparable with the given node, a ring of lat."""
+    i = lat.index_of(node)
     return all(lat.leq(i, j) or lat.leq(j, i) for j in range(len(lat.nodes)))
 
 
@@ -253,7 +251,7 @@ def compositum_rows(lat, i, j):
                           for b in lat.nodes[j].basis])
 
 
-def is_delta_extension(ext, lat):
+def is_delta_extension(lat):
     """True iff the module sum of any two nodes equals their compositum."""
     for i, j in itertools.combinations_with_replacement(range(len(lat.nodes)), 2):
         if module_sum_rows(lat, i, j) != compositum_rows(lat, i, j):

@@ -187,7 +187,7 @@ def test_criterion_6_lambda_consistency(mixed_campaign):
         if tcl == ext.bottom and not ext.is_trivial:  # t-closed instance
             supp = support(ext)
             localized = [
-                interval_length(enumerate_interval(localize_extension(ext, M)))
+                interval_length(enumerate_interval(localize_extension(ext, M)[0]))
                 for M in supp]
             assert lambda_invariant(ext) == max(localized, default=0)
             assert interval_length(lat) <= len(supp) * lambda_invariant(ext)
@@ -233,7 +233,7 @@ def test_criterion_9_quotient_order_isomorphism(mixed_campaign):
     for ext in mixed_campaign:
         if pairs >= 24:
             break
-        for rows in (nilradical(ext.ambient).basis,
+        for rows in (nilradical(ext.ambient.full()).basis,
                      conductor(ext.bottom, ext.top).basis):
             ok, _ = quotient_interval_check(ext, rows)
             assert ok
@@ -250,7 +250,7 @@ def test_criterion_10_arithmetic_implies_delta_distributive(mixed_campaign):
             continue
         arithmetic_count += 1
         lat = enumerate_interval(ext)
-        assert is_delta_extension(ext, lat)[0]
+        assert is_delta_extension(lat)[0]
         assert check_distributivity(lat)[0]
     assert arithmetic_count >= 1
     # the 64-element tower reproduces the modular non-chain shape
@@ -269,5 +269,5 @@ def test_criterion_10_arithmetic_implies_delta_distributive(mixed_campaign):
     assert met == lat.nodes[lat.bottom].basis
     assert check_distributivity(lat)[0]  # modular lattice: identities hold
     assert not is_chained(lat)
-    assert not is_delta_extension(ext, lat)[0]
+    assert not is_delta_extension(lat)[0]
     report(10, f"arithmetic implies delta+distributive on {arithmetic_count} instances")

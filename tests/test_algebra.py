@@ -61,14 +61,14 @@ def test_algebra_validation_reports_failure(F2):
 def test_make_product(F2, F4alg):
     P = make_product(base_algebra(F2), base_algebra(F2))
     assert P.dim == 2 and P.one == (1, 1)
-    dec = local_decomposition(P)
+    dec = local_decomposition(P.full())
     assert sorted(dec.idempotents) == [(0, 1), (1, 0)]
     P2 = make_product(base_algebra(F2), F4alg)
     assert P2.dim == 3
-    assert len(local_decomposition(P2).factors) == 2
+    assert len(local_decomposition(P2.full()).factors) == 2
     A1 = base_algebra(F2)
     assert make_product(A1, A1).dim == 2
-    assert nilradical(make_product(A1, A1)).dim == 0
+    assert nilradical(make_product(A1, A1).full()).dim == 0
     with pytest.raises(AlgebraError):
         make_product(base_algebra(F2), base_algebra(GF(3)))
 
@@ -81,19 +81,32 @@ def test_generated_subalgebra(T44):
     assert generated_subalgebra(T44, [T44.basis_vec(1)]).dim == 4
 
 
+def test_subspace_equality_is_class_ambient_and_basis(F2, T44):
+    rows = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    R = Subalgebra(T44, rows)
+    again = Subalgebra(T44, rows)
+    respanned = Subalgebra(T44, [(1, 0, 1, 1), (0, 0, 1, 1), (0, 0, 0, 1)])
+    assert R == again == respanned and hash(R) == hash(again) == hash(respanned)
+    unit_ideal = Ideal(R, rows)
+    assert unit_ideal.basis == R.basis
+    assert unit_ideal != R and R != unit_ideal
+    other = make_poly_quotient(F2, (0, 0, 0, 0, 1))  # same table, another ambient
+    assert Subalgebra(other, rows) != R
+
+
 def test_conductor_examples(F2, T44):
     K = generated_subalgebra(T44, [])
-    assert conductor(K, T44).basis == ()
-    assert conductor(T44.full(), T44).dim == 4
+    assert conductor(K, T44.full()).basis == ()
+    assert conductor(T44.full(), T44.full()).dim == 4
     R = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    assert conductor(R, T44).basis == ((0, 0, 1, 0), (0, 0, 0, 1))
+    assert conductor(R, T44.full()).basis == ((0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def test_conductor_is_largest_common_ideal(F2, T44):
     """Brute-force check on a small instance: no bigger subspace of R is a
     common ideal of R and S."""
     R = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    cond = conductor(R, T44)
+    cond = conductor(R, T44.full())
     best = ()
     for rows in gfq.all_rref_matrices(T44.field, 4):
         if not all(R.contains_vector(v) for v in rows):
@@ -107,10 +120,10 @@ def test_conductor_is_largest_common_ideal(F2, T44):
 
 
 def test_nilradical_examples(F2, T44, F4alg):
-    assert nilradical(T44).basis == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert nilradical(F4alg).dim == 0
+    assert nilradical(T44.full()).basis == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert nilradical(F4alg.full()).dim == 0
     P = make_product(base_algebra(F2), make_poly_quotient(F2, (0, 0, 1)))
-    assert nilradical(P).basis == ((0, 0, 1),)
+    assert nilradical(P.full()).basis == ((0, 0, 1),)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -122,7 +135,7 @@ def test_nilradical_matches_brute_force(seed):
         A = ext.ambient
         if A.field.q ** A.dim > 4096:
             continue
-        nil = nilradical(A)
+        nil = nilradical(A.full())
         expected = sorted(v for v in A.elements() if A.pow(v, A.dim) == A.zero)
         got = sorted(gfq.span_vectors(A.field, nil.basis)) if nil.dim else []
         got = sorted(set(got) | {A.zero})
@@ -130,12 +143,12 @@ def test_nilradical_matches_brute_force(seed):
 
 
 def test_local_decomposition_invariants(F2, T44, F4alg):
-    decT = local_decomposition(T44)
+    decT = local_decomposition(T44.full())
     assert decT.is_local
     assert decT.factors[0].maximal_ideal.basis == (
         (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     P = make_product(F4alg, make_poly_quotient(F2, (0, 0, 1)))
-    dec = local_decomposition(P)
+    dec = local_decomposition(P.full())
     assert sorted(f.residue_degree for f in dec.factors) == [1, 2]
     assert sum(f.factor.algebra.dim for f in dec.factors) == P.dim
     for fa, fb in itertools.combinations(dec.factors, 2):
@@ -154,8 +167,8 @@ def test_idempotents_match_brute_force(seed):
     spec = GenSpec(seed=seed, q=2, max_dim=5, shape="product-of-locals", count=2)
     for ext in random_extension(spec):
         A = ext.ambient
-        dec = local_decomposition(A)
-        all_idems = brute_force_idempotents(A)
+        dec = local_decomposition(A.full())
+        all_idems = brute_force_idempotents(A.full())
         # primitive = minimal nonzero idempotents
         nonzero = [e for e in all_idems if any(e)]
         primitive = [e for e in nonzero
@@ -206,11 +219,11 @@ def test_module_length_rejects_unstable(F2, T44):
 def test_localize_extension(ext_f2xf4):
     supp = support(ext_f2xf4)
     assert len(supp) == 1
-    loc = localize_extension(ext_f2xf4, supp[0])
+    loc, _ = localize_extension(ext_f2xf4, supp[0])
     assert loc.ambient.dim == 2 and loc.bottom.dim == 1
     dec = local_decomposition(ext_f2xf4.bottom)
     other = [m for m in dec.maximal_ideals if m != supp[0]][0]
-    triv = localize_extension(ext_f2xf4, other)
+    triv, _ = localize_extension(ext_f2xf4, other)
     assert triv.ambient.dim == 1
     with pytest.raises(AlgebraError):
         bad = Ideal(ext_f2xf4.bottom, ())
@@ -219,7 +232,8 @@ def test_localize_extension(ext_f2xf4):
 
 def test_localize_local_ring_is_identity(ext44):
     M = local_decomposition(ext44.bottom).factors[0].maximal_ideal
-    assert localize_extension(ext44, M) is ext44
+    loc, fac = localize_extension(ext44, M)
+    assert loc is ext44 and fac is None
 
 
 def test_localization_reconstructs_dimensions(ext_f2xf4):

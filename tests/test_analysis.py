@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from ringlat import algebra, canonical, lattice
-from ringlat.algebra import Extension, Subalgebra, span_rows_of
+from ringlat.algebra import Extension, Subalgebra
 from ringlat.analysis import Analysis
 from ringlat.cli import main
 from ringlat.lattice import BudgetExceeded
@@ -57,8 +57,8 @@ def spy(monkeypatch, module, name, record):
 
 def ring_content(ring):
     """A ring by value: its ambient's field and table, and its basis."""
-    A = getattr(ring, "ambient", ring)
-    return (A.field.p, A.field.e, A.table, A.one, span_rows_of(ring))
+    A = ring.ambient
+    return (A.field.p, A.field.e, A.table, A.one, ring.basis)
 
 
 def test_facts_are_shared_within_one_analysis(ext44):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ F64 = {"field": {"p": 2, "e": 1},
        "algebra": {"poly_quotient": [1, 1, 0, 1, 1, 0, 1]}}
 TRIVIAL = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 1]},
            "base_subring": {"generators": [[1]]}}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -154,6 +156,18 @@ def test_check_subcommand(write):
     assert "FAIL" not in out
     assert "oracle-interval-equality" in out
     assert "fip-criteria-agreement" in out
+
+
+@pytest.mark.parametrize("budget,oracle_line", [
+    (16, "6 nodes"),  # GF(2)^3, the codimension of y4, has 16 subspaces
+    (15, "skipped: over subspace budget"),
+])
+def test_check_oracle_subspace_budget(capsys, budget, oracle_line):
+    golden = GOLDEN / "y4.check.out"
+    assert main(["check", str(GOLDEN / "y4.json"), "--budget-subspaces", str(budget)]) == 0
+    expected = golden.read_text().replace(
+        "oracle-interval-equality: 6 nodes", f"oracle-interval-equality: {oracle_line}")
+    assert capsys.readouterr().out == expected
 
 
 def test_check_generated_campaign():

@@ -44,8 +44,8 @@ def test_field_tower_shape(F2):
                                         shape="field-tower", count=5)):
         from ringlat.algebra import nilradical
 
-        assert nilradical(ext.ambient).dim == 0
-        assert local_decomposition(ext.ambient).is_local
+        assert nilradical(ext.ambient.full()).dim == 0
+        assert local_decomposition(ext.ambient.full()).is_local
         assert ext.bottom.dim == 1
 
 
@@ -88,7 +88,7 @@ def test_all_staircases_counts():
 
 def test_monomial_algebra_is_local(F2):
     A = monomial_algebra(F2, ((0, 0), (0, 1), (1, 0), (1, 1)))
-    dec = local_decomposition(A)
+    dec = local_decomposition(A.full())
     assert dec.is_local and dec.factors[0].residue_degree == 1
 
 

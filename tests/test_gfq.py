@@ -115,6 +115,55 @@ def test_left_kernel_annihilates(data):
         assert not any(acc)
 
 
+def _combine(F, coeffs, rows):
+    acc = gfq.zero_vec(len(rows[0]))
+    for c, r in zip(coeffs, rows):
+        acc = gfq.vadd(F, acc, gfq.vscale(F, c, r))
+    return acc
+
+
+@st.composite
+def dependent_matrices(draw):
+    """Random rows plus linear combinations of them, in a random order, and
+    a coefficient vector for a vector of their span."""
+    F = GF(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])))
+    elem = st.integers(0, F.q - 1)
+    n = draw(st.integers(1, 5))
+    rows = [tuple(draw(elem) for _ in range(n)) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append(_combine(F, [draw(elem) for _ in rows], rows))
+    rows = tuple(draw(st.permutations(rows)))
+    return F, rows, [draw(elem) for _ in rows]
+
+
+@given(dependent_matrices())
+@settings(max_examples=150, deadline=None)
+def test_express_and_left_kernel_are_complete(data):
+    F, rows, coeffs = data
+    red = rref(F, rows)
+    kernel = left_kernel(F, rows)
+    assert len(kernel) == len(rows) - len(red)
+    assert rref(F, kernel) == kernel
+    assert all(not any(_combine(F, x, rows)) for x in kernel)
+    inside = _combine(F, coeffs, rows)
+    got = express(F, rows, inside)
+    assert got is not None and _combine(F, got, rows) == inside
+    pivots = gfq.pivots_of(red)
+    for j in range(len(rows[0])):
+        if j not in pivots:  # the unit vector e_j is outside the span
+            assert express(F, rows, tuple(int(i == j) for i in range(len(rows[0])))) is None
+
+
+@pytest.mark.parametrize("q,modulus", [
+    (4, (1, 1, 1)), (8, (1, 0, 1, 1)), (9, (1, 0, 1)), (16, (1, 0, 0, 1, 1)),
+    (25, (1, 1, 1)), (27, (1, 0, 2, 1)), (32, (1, 0, 0, 1, 0, 1)), (49, (1, 0, 1)),
+    (64, (1, 0, 0, 0, 0, 1, 1))])
+def test_default_modulus_is_pinned(q, modulus):
+    """The lexicographically first monic irreducible over the prime field:
+    changing it would renumber every field element in every report."""
+    assert GF(*prime_power(q)).modulus == modulus
+
+
 def test_intersection_exhaustive_gf2():
     F = GF(2)
     a = ((1, 0, 1, 0), (0, 1, 0, 0))

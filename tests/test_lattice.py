@@ -173,11 +173,11 @@ def test_is_pinched_at(ext44, ext64):
 
 def test_is_delta_extension(ext44, ext64, ext_chain3):
     lat = enumerate_interval(ext_chain3)
-    assert is_delta_extension(ext_chain3, lat)[0]
+    assert is_delta_extension(lat)[0]
     lat44 = enumerate_interval(ext44)
-    assert is_delta_extension(ext44, lat44)[0]
+    assert is_delta_extension(lat44)[0]
     lat64 = enumerate_interval(ext64)
-    ok, pair = is_delta_extension(ext64, lat64)
+    ok, pair = is_delta_extension(lat64)
     assert not ok
     assert {p.dim for p in pair} == {2, 3}  # the two proper subfields
 
