@@ -4,20 +4,21 @@ A report asks for the same facts many times: the interval [R, S] is needed by
 the census, the canonical decomposition, the Nagata report and the
 cross-checks; every cover edge and every sub-interval asks for the local
 decomposition of the same few rings.  An :class:`Analysis` carries the
-command's budgets and memoizes four things by value (a ring is its ambient
+command's budgets and memoizes five things by value (a ring is its ambient
 algebra and its canonical basis, so equal rings share one entry):
 
 - the lattice of each interval, enumerated under the node budget;
 - the local decomposition of each ring;
 - the localization of each pair at each maximal ideal of its bottom, so the
   localized ambient algebra, and every fact cached about it, is reused;
-- the canonical decomposition (+R, tR) of each interval.
+- the canonical decomposition (+R, tR) of each interval;
+- the minimal-step kind of each cover edge T < U.
 
 The cache lives exactly as long as the object.  The CLI makes one per
 command; a library function called without one makes a fresh one, so a
 direct call computes everything for real.  The public functions behind the
-cache (``enumerate_interval``, ``local_decomposition``,
-``localize_extension``, ``canonical_decomposition``) always compute; only the
+cache (``enumerate_interval``, ``local_decomposition``, ``localize_extension``,
+``canonical_decomposition``, ``classify_minimal``) always compute; only the
 methods here look a result up first.  The methods import those functions
 when they call them, because their modules import this one.
 """
@@ -25,21 +26,19 @@ when they call them, because their modules import this one.
 from __future__ import annotations
 
 DEFAULT_NODE_BUDGET = 20_000
-DEFAULT_SCAN_BUDGET = 2 ** 20
 
 
 class Analysis:
     """Budgets and memoized facts for the extensions of one command."""
 
-    def __init__(self, node_budget=DEFAULT_NODE_BUDGET, scan_budget=DEFAULT_SCAN_BUDGET,
-                 threads=1):
+    def __init__(self, node_budget=DEFAULT_NODE_BUDGET, threads=1):
         self.node_budget = node_budget    # bounds every interval enumeration
-        self.scan_budget = scan_budget    # q**(dim S + dim R) limit of every t-closedness scan
         self.threads = threads
         self._lattices = {}
         self._decompositions = {}
         self._localizations = {}
         self._canonical = {}
+        self._edge_kinds = {}
 
     def lattice(self, ext):
         """The interval [bottom, top] of ext, with its cover relation."""
@@ -75,3 +74,12 @@ class Analysis:
             from .canonical import canonical_decomposition
             dec = self._canonical[ext] = canonical_decomposition(ext, an=self)
         return dec
+
+    def edge_kind(self, T, U):
+        """The minimal-step kind (inert, decomposed or ramified) of a cover T < U."""
+        key = (T, U)
+        kind = self._edge_kinds.get(key)
+        if kind is None:
+            from .canonical import classify_minimal
+            kind = self._edge_kinds[key] = classify_minimal(T, U, an=self)
+        return kind

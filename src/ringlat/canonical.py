@@ -4,8 +4,9 @@ A cover edge T < U of an interval is classified as inert, decomposed or
 ramified from the conductor (T:U) and the maximal ideals of U above it;
 exactly one of the three condition sets may hold.  On top of the per-edge
 classification sit the subintegral / infra-integral / t-closed predicates,
-the seminormalization and t-closure (each computed by two independent
-routes that must agree), and the supremum of residual-extension lengths.
+the seminormalization, the t-closure (read off the classified lattice and
+checked against the greatest infra-integral node) and the supremum of
+residual-extension lengths.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .algebra import (
 )
 from .analysis import Analysis
 from .gfq import intersect_rowspaces, rref
-from .lattice import greedy_maximal_chain, interval_length
+from .lattice import interval_length, longest_chain
 
 INERT = "inert"
 DECOMPOSED = "decomposed"
 RAMIFIED = "ramified"
+SCAN_LINES = 2 ** 16  # most GF(q)-lines of S the t-closedness scan solves for
 
 
 @dataclass(frozen=True)
@@ -172,15 +174,15 @@ def is_t_closed(ext, an=None):
     b^2 - rb and b^3 - rb^2 in R.  For a fixed b the map r -> (rb, rb^2)
     mod R is GF(q)-linear, so the search over r is one membership test of
     (b^2, b^3) mod R in the span of the images of R's basis.  The condition
-    is the same for b and cb, so the definitional scan takes one b per
-    GF(q)-line of S.  The scan runs while q**(dim S + dim R) is within
-    the analysis's scan budget; past it we fall back to classifying one
-    maximal chain, every step of which must be inert.
+    is the same for b and cb, so the definitional scan makes one solve per
+    GF(q)-line of S.  This scan, the route independent of the edge kinds,
+    runs while S has at most ``SCAN_LINES`` lines; past that, every step of
+    one cover path of the pair's lattice must be inert.
     """
     an = an or Analysis()
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
-    if F.q ** (S.dim + R.dim) <= an.scan_budget:
+    if (F.q ** S.dim - 1) // (F.q - 1) <= SCAN_LINES:
         def mod_r(u, v):
             return gfq.reduce_vec(F, R.basis, u) + gfq.reduce_vec(F, R.basis, v)
 
@@ -197,11 +199,10 @@ def is_t_closed(ext, an=None):
                     r = gfq.vadd(F, r, gfq.vscale(F, c, row))
                 return TClosedResult(False, "scan", (b, r))
         return TClosedResult(True, "scan")
-    chain = greedy_maximal_chain(ext)
-    for lo, hi in zip(chain, chain[1:]):
-        if classify_minimal(lo, hi, an).kind != INERT:
-            return TClosedResult(False, "chain")
-    return TClosedResult(True, "chain")
+    lat = an.lattice(ext)
+    path = [lat.nodes[i] for i in longest_chain(lat).nodes]
+    inert = all(an.edge_kind(lo, hi).kind == INERT for lo, hi in zip(path, path[1:]))
+    return TClosedResult(inert, "chain")
 
 
 def seminormalization(ext, an=None):
@@ -219,7 +220,9 @@ def seminormalization(ext, an=None):
 
 
 def t_closure(ext, an=None):
-    """Pivot ring, computed by two characterizations that must agree."""
+    """Pivot ring, computed by two characterizations that must agree: the
+    greatest infra-integral node and the least t-closed node, where n is
+    t-closed when every cover edge of [n, S] is inert."""
     an = an or Analysis()
     lat = an.lattice(ext)
     infra = [n for n in lat.nodes if is_infra_integral(Extension(ext.bottom, n), an)]
@@ -229,8 +232,11 @@ def t_closure(ext, an=None):
             raise InternalInvariantError(
                 "t-closure-not-unique",
                 "infra-integral nodes have no greatest element")
-    closed = [n for n in lat.nodes
-              if is_t_closed(Extension(n, ext.top), an).value]
+    t_closed = [True] * len(lat.nodes)
+    for i, j in reversed(lat.covers):  # sorted covers: [j, S] is settled before i
+        t_closed[i] = (t_closed[i] and t_closed[j]
+                       and an.edge_kind(lat.nodes[i], lat.nodes[j]).kind == INERT)
+    closed = [n for n, ok in zip(lat.nodes, t_closed) if ok]
     least = min(closed, key=lambda n: n.dim)
     for n in closed:
         if not n.contains(least):
@@ -312,8 +318,7 @@ def lambda_crosscheck(ext, an=None):
 def classify_cover_edges(lat, an=None):
     """MinimalKind for every cover edge, keyed by the edge index pair."""
     an = an or Analysis()
-    return {(i, j): classify_minimal(lat.nodes[i], lat.nodes[j], an)
-            for i, j in lat.covers}
+    return {(i, j): an.edge_kind(lat.nodes[i], lat.nodes[j]) for i, j in lat.covers}
 
 
 def census(edge_kinds):
@@ -323,17 +328,14 @@ def census(edge_kinds):
     return out
 
 
-def classify_chain(lat, chain, edge_kinds=None, an=None):
+def classify_chain(lat, chain, an=None):
     """Fill the classification and crucial-ideal slots of a chain report."""
     an = an or Analysis()
-    if edge_kinds is None:
-        edge_kinds = {}
     steps = []
     traces = []
     R = lat.ext.bottom
     for i, j in zip(chain.nodes, chain.nodes[1:]):
-        kind = edge_kinds.get((i, j)) or classify_minimal(lat.nodes[i], lat.nodes[j], an)
-        steps.append(kind)
+        steps.append(an.edge_kind(lat.nodes[i], lat.nodes[j]))
         crux = crucial_ideal(lat.nodes[i], lat.nodes[j], an)
         traces.append(intersect_with(R, crux.basis))
     chain.steps = tuple(steps)
@@ -365,7 +367,7 @@ def verify_chain_classification(lat, chain, an=None):
     an = an or Analysis()
     ext = Extension(lat.nodes[chain.nodes[0]], lat.nodes[chain.nodes[-1]])
     if chain.steps is None:
-        classify_chain(lat, chain, an=an)
+        classify_chain(lat, chain, an)
     kinds = [s.kind for s in chain.steps]
     all_inert = all(k == INERT for k in kinds)
     all_rd = all(k in (RAMIFIED, DECOMPOSED) for k in kinds)

@@ -2,13 +2,15 @@
 
 Instances are JSON documents (see schema/instance.json).  Exit codes:
 0 success, 1 parse/validation error, 2 budget exceeded, 3 a structural
-cross-check failed (a bug signal, printed with its machine tag).
+cross-check failed (a bug signal, printed with its machine tag), 141 the
+reader closed stdout early (128 + SIGPIPE, as a shell reports a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -24,7 +26,7 @@ from .algebra import (
     make_product,
     support,
 )
-from .analysis import DEFAULT_NODE_BUDGET, DEFAULT_SCAN_BUDGET, Analysis
+from .analysis import DEFAULT_NODE_BUDGET, Analysis
 from .canonical import (
     census,
     chain_trace_set,
@@ -41,6 +43,7 @@ from .canonical import (
 from .gen import GenSpec, RejectionExhausted, random_extension
 from .gfq import GF
 from .lattice import (
+    DEFAULT_SUBSPACE_BUDGET,
     BudgetExceeded,
     brute_force_interval,
     check_distributivity,
@@ -192,8 +195,7 @@ def _rows(node):
 
 def analysis_for(args):
     """The analysis context of one command, with the command's budgets."""
-    return Analysis(node_budget=args.budget_nodes, scan_budget=args.budget_scan,
-                    threads=args.threads)
+    return Analysis(node_budget=args.budget_nodes, threads=args.threads)
 
 
 def build_result(ext, args):
@@ -227,7 +229,7 @@ def build_result(ext, args):
         "predicates": {
             "subintegral": is_subintegral(ext, an),
             "infra_integral": is_infra_integral(ext, an),
-            "t_closed": is_t_closed(ext, an).value,
+            "t_closed": tcl == ext.bottom,
             "chained": is_chained(lat),
             "arithmetic": arith,
             "delta": delta,
@@ -355,7 +357,7 @@ def _check_suite(ext, args):
         f"infra={infra} all_rd={all_rd} t_closed={tcl_res.value} all_inert={all_inert}"
 
     supp_set = frozenset(m.basis for m in support(ext, an))
-    traces = {chain_trace_set(classify_chain(lat, c, edge_kinds, an)) for c in chains}
+    traces = {chain_trace_set(classify_chain(lat, c, an)) for c in chains}
     ok = (not truncated) and (len(traces) <= 1) and \
         (not chains or traces == {supp_set} or (len(lat.nodes) == 1 and not supp_set))
     yield "crucial-trace-invariance", ok, f"{len(chains)} chains"
@@ -425,7 +427,6 @@ def cmd_gen(args):
                    shape=args.shape, count=args.count)
     docs = [serialize_instance(ext) for ext in random_extension(spec)]
     if args.out_dir:
-        import os
         os.makedirs(args.out_dir, exist_ok=True)
         for k, doc in enumerate(docs):
             path = os.path.join(args.out_dir, f"instance_{k:04d}.json")
@@ -454,11 +455,8 @@ def make_parser():
                        help="enumeration worker threads (output-identical)")
         p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                        help="most nodes any one interval enumeration may find")
-        p.add_argument("--budget-scan", type=int, default=DEFAULT_SCAN_BUDGET,
-                       help="largest q^(dim S + dim R) for which a t-closedness test "
-                            "runs the definitional scan; past it, it classifies a "
-                            "maximal chain instead")
-        p.add_argument("--budget-subspaces", type=int, default=2 ** 24)
+        p.add_argument("--budget-subspaces", type=int, default=DEFAULT_SUBSPACE_BUDGET,
+                       help="most subspaces the brute-force oracle may scan")
 
     p = sub.add_parser("analyze", help="full analysis report")
     common(p)
@@ -511,7 +509,13 @@ def main(argv=None):
     if args.command == "check" and not args.path and not args.gen:
         parser.error("check needs an instance path or --gen")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing more can be written; send the flush at exit to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

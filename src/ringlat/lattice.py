@@ -96,7 +96,7 @@ class ChainReport:
 def _closure_tasks(ext, node):
     F = ext.ambient.field
     comp = complement_in(F, node.basis, ext.top.basis)
-    if F.q ** len(comp) > DEFAULT_TRANSVERSAL_BUDGET:
+    if (F.q ** len(comp) - 1) // (F.q - 1) > DEFAULT_TRANSVERSAL_BUDGET:
         raise BudgetExceeded("coset transversal", DEFAULT_TRANSVERSAL_BUDGET)
     return list(gfq.line_vectors(F, comp))
 
@@ -296,22 +296,6 @@ def maximal_chains(lat, budget=DEFAULT_CHAIN_BUDGET):
         for j in reversed(lat.up(node)):
             stack.append((j, path + (j,)))
     return chains, truncated
-
-
-def greedy_maximal_chain(ext):
-    """One maximal chain from bottom to top, built cover by cover."""
-    A = ext.ambient
-    chain = [ext.bottom]
-    current = ext.bottom
-    while current != ext.top:
-        best = None
-        for s in _closure_tasks(ext, current):
-            cand = generated_subalgebra(A, [s], seed=current)
-            if cand.dim > current.dim and (best is None or cand.dim < best.dim):
-                best = cand
-        current = best
-        chain.append(current)
-    return chain
 
 
 def quotient_interval_check(ext, J_rows, an=None):

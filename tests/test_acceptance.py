@@ -20,6 +20,7 @@ from ringlat.algebra import (
     nilradical,
     support,
 )
+from ringlat.analysis import Analysis
 from ringlat.canonical import (
     DECOMPOSED,
     INERT,
@@ -195,6 +196,7 @@ def test_criterion_6_lambda_consistency(mixed_campaign):
 
 
 def test_criterion_7_crucial_trace_invariance(mixed_campaign, ex44):
+    an = Analysis()
     exts = list(mixed_campaign) + [ex44]
     multi_chain = 0
     for ext in exts:
@@ -204,8 +206,7 @@ def test_criterion_7_crucial_trace_invariance(mixed_campaign, ex44):
         if len(chains) < 2:
             continue
         multi_chain += 1
-        kinds = classify_cover_edges(lat)
-        traces = {chain_trace_set(classify_chain(lat, c, kinds)) for c in chains}
+        traces = {chain_trace_set(classify_chain(lat, c, an)) for c in chains}
         assert len(traces) == 1
         assert traces.pop() == frozenset(m.basis for m in support(ext))
     assert multi_chain >= 1

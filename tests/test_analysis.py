@@ -5,6 +5,7 @@ import io
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ PRODUCT = {"field": {"p": 2, "e": 1},
            "algebra": {"product": [{"poly_quotient": [0, 0, 1]},
                                    {"poly_quotient": [1, 1, 1]},
                                    {"poly_quotient": [0, 1]}]}}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -86,16 +88,40 @@ def test_nilradical_once_per_distinct_ring(write, monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
-@pytest.mark.parametrize("doc", [Y5, PRODUCT], ids=["y5", "product"])
-@pytest.mark.parametrize("verb", [("analyze", "--json"), ("check",)], ids=["analyze", "check"])
-def test_budget_scan_reaches_every_t_closed_call(write, monkeypatch, doc, verb):
+@pytest.mark.parametrize("doc", [Y5, PRODUCT], ids=["check-y5", "check-product"])
+def test_budget_scan_reaches_every_t_closed_call(write, monkeypatch, doc):
+    """With no GF(q)-line left to the scan, every t-closedness test of check
+    reads the edge kinds of a cover path, and the report is unchanged."""
     path = write(doc)
-    default = run([verb[0], path, *verb[1:]])
+    default = run(["check", path])
     methods = Counter()
     spy(monkeypatch, canonical, "is_t_closed",
         lambda args, kwargs, result: methods.update([result.method]))
-    assert run([verb[0], path, *verb[1:], "--budget-scan", "1"]) == default
+    monkeypatch.setattr(canonical, "SCAN_LINES", 0)
+    assert run(["check", path]) == default
     assert methods and set(methods) == {"chain"}
+
+
+@pytest.mark.parametrize("name", ["y5", "product", "f9-mixed"])
+def test_analyze_makes_no_t_closed_call(monkeypatch, name):
+    """analyze reads t-closedness off the classified lattice."""
+    calls = []
+    spy(monkeypatch, canonical, "is_t_closed",
+        lambda args, kwargs, result: calls.append(result))
+    run(["analyze", str(GOLDEN / f"{name}.json")])
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["product", "f9-mixed"])
+def test_check_classifies_each_edge_once(monkeypatch, name):
+    """Every lattice, chain and t-closedness test of check that meets a cover
+    edge reads one memoized classification."""
+    calls = Counter()
+    spy(monkeypatch, canonical, "classify_minimal",
+        lambda args, kwargs, result: calls.update([(ring_content(args[0]),
+                                                    ring_content(args[1]))]))
+    run(["check", str(GOLDEN / f"{name}.json")])
+    assert calls and max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("verb", [("check",), ("nagata", "--json"), ("analyze", "--json")])

@@ -1,6 +1,6 @@
 import pytest
 
-from ringlat import gfq
+from ringlat import canonical, gfq
 from ringlat.algebra import (
     Extension,
     InternalInvariantError,
@@ -116,16 +116,18 @@ def test_predicates_examples(ext44, F2, F4alg, minimal_trio):
     assert res.value and res.method == "scan"
 
 
-def test_t_closed_scan_vs_chain_paths(ext44, ext64, ext_chain3):
+def test_t_closed_scan_vs_chain_paths(monkeypatch, ext44, ext64, ext_chain3):
     F4, F9 = GF(2, 2), GF(3, 2)
     f4_y3 = make_poly_quotient(F4, (0, 0, 0, 1))
     f729 = make_poly_quotient(F9, irreducible_poly(F9, 3))
     extra = [Extension(generated_subalgebra(S, []), S) for S in (f4_y3, f729)]
-    for ext in (ext44, ext64, ext_chain3, *extra):
-        by_scan = is_t_closed(ext, an=Analysis(scan_budget=2 ** 20))
-        by_chain = is_t_closed(ext, an=Analysis(scan_budget=0))
-        assert by_scan.method == "scan" and by_chain.method == "chain"
-        assert by_scan.value == by_chain.value
+    exts = (ext44, ext64, ext_chain3, *extra)
+    by_scan = [is_t_closed(ext, an=Analysis()) for ext in exts]
+    monkeypatch.setattr(canonical, "SCAN_LINES", 0)
+    by_chain = [is_t_closed(ext, an=Analysis()) for ext in exts]
+    for scan, chain in zip(by_scan, by_chain):
+        assert scan.method == "scan" and chain.method == "chain"
+        assert scan.value == chain.value
 
 
 def reference_t_closed(ext):
@@ -164,12 +166,14 @@ def violates_t_closedness(ext, b, r):
 ])
 def test_t_closed_scan_matches_reference(q, shape, seed):
     """Every node n of seeded instances: is_t_closed finds [n, S] t-closed
-    exactly when the pair-by-pair scan does, and a scan witness is the
-    reference's b with an r that satisfies the definition."""
+    exactly when the pair-by-pair scan does, a scan witness is the
+    reference's b with an r that satisfies the definition, and t_closure is
+    the least node the reference finds t-closed."""
     max_dim = 3 if q == 9 else 4
     pairs = 0
     for ext in random_extension(GenSpec(seed=seed, q=q, max_dim=max_dim,
                                         shape=shape, count=3)):
+        closed = []
         for node in enumerate_interval(ext).nodes:
             sub = Extension(node, ext.top)
             expected, ref_witness = reference_t_closed(sub)
@@ -179,7 +183,12 @@ def test_t_closed_scan_matches_reference(q, shape, seed):
                 b, r = got.witness
                 assert b == ref_witness[0]
                 assert violates_t_closedness(sub, b, r)
+            if expected:
+                closed.append(node)
             pairs += 1
+        least = min(closed, key=lambda n: n.dim)
+        assert all(n.contains(least) for n in closed)
+        assert t_closure(ext) == least
     assert pairs >= 6
 
 
@@ -278,12 +287,12 @@ def test_chain_classification_mixed(F2, F4alg):
 
 
 def test_crucial_trace_invariance(ext44, ext64):
+    an = Analysis()
     for ext in (ext44, ext64):
         lat = enumerate_interval(ext)
-        kinds = classify_cover_edges(lat)
         chains, trunc = maximal_chains(lat)
         assert not trunc and len(chains) >= 2
-        traces = {chain_trace_set(classify_chain(lat, c, kinds)) for c in chains}
+        traces = {chain_trace_set(classify_chain(lat, c, an)) for c in chains}
         assert len(traces) == 1
         assert traces.pop() == frozenset(m.basis for m in support(ext))
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -224,3 +225,19 @@ def test_main_callable_directly(write, capsys):
     assert main(["analyze", write(EX44), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["interval"]["cardinality"] == 6
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that stops after one line gets exit status 141 (128 + SIGPIPE)
+    and no traceback, not the parse-error status 1."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ringlat.cli", "check", "--gen", "mixed",
+         "--seed", "4", "--count", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"PASS [0] ")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert stderr == b""

@@ -7,7 +7,6 @@ from ringlat.lattice import (
     brute_force_interval,
     check_distributivity,
     enumerate_interval,
-    greedy_maximal_chain,
     interval_length,
     is_arithmetic,
     is_chained,
@@ -80,6 +79,22 @@ def test_one_closure_per_line(monkeypatch, n, from_bottom):
 def test_node_budget(ext44):
     with pytest.raises(BudgetExceeded):
         enumerate_interval(ext44, node_budget=2)
+
+
+def test_transversal_budget_counts_lines(monkeypatch):
+    """GF(4) inside GF(4)[Y]/(Y^3) has codim 2: enumeration builds
+    (16 - 1) / 3 = 5 line vectors from the bottom, so a budget of 5 lines
+    admits it and a budget of 4 does not."""
+    from ringlat import lattice
+    from ringlat.algebra import make_poly_quotient
+
+    T = make_poly_quotient(GF(2, 2), (0, 0, 0, 1))
+    ext = Extension(generated_subalgebra(T, []), T)
+    monkeypatch.setattr(lattice, "DEFAULT_TRANSVERSAL_BUDGET", 5)
+    assert set(enumerate_interval(ext).nodes) == brute_force_interval(ext)
+    monkeypatch.setattr(lattice, "DEFAULT_TRANSVERSAL_BUDGET", 4)
+    with pytest.raises(BudgetExceeded):
+        enumerate_interval(ext)
 
 
 def test_interval_length_examples(ext44, ext64, ext_chain3):
@@ -223,13 +238,6 @@ def test_maximal_chains_consistent_with_length(ext44):
     chains, trunc = maximal_chains(lat)
     assert not trunc
     assert max(len(c.nodes) - 1 for c in chains) == interval_length(lat)
-
-
-def test_greedy_chain_is_maximal(ext44):
-    chain = greedy_maximal_chain(ext44)
-    lat = enumerate_interval(ext44)
-    for lo, hi in zip(chain, chain[1:]):
-        assert (lat.index_of(lo), lat.index_of(hi)) in lat.covers
 
 
 def test_quotient_interval_bijection(ext44):
