@@ -22,7 +22,7 @@ from .algebra import (  # noqa: F401
     quotient,
     support,
 )
-from .analysis import Analysis  # noqa: F401
+from .analysis import Analysis, BudgetExceeded  # noqa: F401
 from .canonical import (  # noqa: F401
     CanonicalDecomposition,
     MinimalKind,
@@ -42,7 +42,6 @@ from .canonical import (  # noqa: F401
 from .gen import GenSpec, random_extension  # noqa: F401
 from .gfq import GF  # noqa: F401
 from .lattice import (  # noqa: F401
-    BudgetExceeded,
     ExtensionLattice,
     brute_force_interval,
     check_distributivity,

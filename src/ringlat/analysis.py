@@ -1,85 +1,94 @@
-"""One analysis context per command: each fact about an instance computed once.
+"""One analysis context per command: one work budget, each fact computed once.
 
-A report asks for the same facts many times: the interval [R, S] is needed by
-the census, the canonical decomposition, the Nagata report and the
-cross-checks; every cover edge and every sub-interval asks for the local
-decomposition of the same few rings.  An :class:`Analysis` carries the
-command's budgets and memoizes five things by value (a ring is its ambient
-algebra and its canonical basis, so equal rings share one entry):
+Every exponential search of a command charges one counter before it works,
+so one budget bounds them all.  A unit is one candidate examined: a
+GF(q)-line vector of the complement of a node that enumeration expands (one
+closure; nodes <= closures + 1), a subspace the brute-force oracle scans, a
+GF(q)-line the t-closedness scan solves for, or a chain that ``check``
+lists.  A charge the budget cannot cover raises :class:`BudgetExceeded` and
+charges nothing.
 
-- the lattice of each interval, enumerated under the node budget;
-- the local decomposition of each ring;
-- the localization of each pair at each maximal ideal of its bottom, so the
-  localized ambient algebra, and every fact cached about it, is reused;
-- the canonical decomposition (+R, tR) of each interval;
-- the minimal-step kind of each cover edge T < U.
-
-The cache lives exactly as long as the object.  The CLI makes one per
-command; a library function called without one makes a fresh one, so a
-direct call computes everything for real.  The public functions behind the
-cache (``enumerate_interval``, ``local_decomposition``, ``localize_extension``,
-``canonical_decomposition``, ``classify_minimal``) always compute; only the
-methods here look a result up first.  The methods import those functions
-when they call them, because their modules import this one.
+An :class:`Analysis` also memoizes by value (a ring is its ambient algebra
+and its canonical basis, so equal rings share one entry) the lattice of each
+interval, the local decomposition of each ring, the localization of each
+pair at each maximal ideal of its bottom, the canonical decomposition and
+t-closedness test of each interval, and the minimal-step kind and crucial
+ideal of each cover edge T < U.  The cache lives as long as the object: the
+CLI makes one per command, and a library function called without one makes
+a fresh one, so a direct call computes everything for real.  The public
+functions behind the cache always compute; only the methods here look a
+result up first.  They import those functions when called, because their
+modules import this one.
 """
 
 from __future__ import annotations
 
-DEFAULT_NODE_BUDGET = 20_000
+DEFAULT_BUDGET = 2 ** 20
+
+
+class BudgetExceeded(RuntimeError):
+    """A search asked for more work units than its command has left."""
+
+    def __init__(self, phase, spent, limit, units):
+        super().__init__(f"work budget exceeded in {phase}: {spent} of {limit} "
+                         f"units spent, {units} more requested")
 
 
 class Analysis:
-    """Budgets and memoized facts for the extensions of one command."""
+    """The work budget and memoized facts for the extensions of one command."""
 
-    def __init__(self, node_budget=DEFAULT_NODE_BUDGET, threads=1):
-        self.node_budget = node_budget    # bounds every interval enumeration
+    def __init__(self, budget=DEFAULT_BUDGET, threads=1):
+        self.budget = budget
+        self.spent = 0
         self.threads = threads
-        self._lattices = {}
-        self._decompositions = {}
-        self._localizations = {}
-        self._canonical = {}
-        self._edge_kinds = {}
+        self._facts = {}
+
+    @property
+    def left(self):
+        return self.budget - self.spent
+
+    def charge(self, phase, units):
+        """Spend units of work on phase, or raise if fewer are left."""
+        if units > self.left:
+            raise BudgetExceeded(phase, self.spent, self.budget, units)
+        self.spent += units
+
+    def _fact(self, key, compute):
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
 
     def lattice(self, ext):
         """The interval [bottom, top] of ext, with its cover relation."""
-        lat = self._lattices.get(ext)
-        if lat is None:
-            from .lattice import enumerate_interval
-            lat = self._lattices[ext] = enumerate_interval(
-                ext, node_budget=self.node_budget, threads=self.threads)
-        return lat
+        from .lattice import enumerate_interval
+        return self._fact(("lattice", ext), lambda: enumerate_interval(ext, self))
 
     def decomposition(self, ring):
         """The local decomposition of a ring, with its nilradical."""
-        dec = self._decompositions.get(ring)
-        if dec is None:
-            from .algebra import local_decomposition
-            dec = self._decompositions[ring] = local_decomposition(ring)
-        return dec
+        from .algebra import local_decomposition
+        return self._fact(("decomposition", ring), lambda: local_decomposition(ring))
 
     def localization(self, ext, M):
-        """(localized extension, factor map) of ext at a maximal ideal M of its
-        bottom; the map is None when the bottom is local."""
-        key = (ext, M)
-        loc = self._localizations.get(key)
-        if loc is None:
-            from .algebra import localize_extension
-            loc = self._localizations[key] = localize_extension(ext, M, an=self)
-        return loc
+        """(localized extension, factor map or None if the bottom is local) at M."""
+        from .algebra import localize_extension
+        return self._fact(("localization", ext, M), lambda: localize_extension(ext, M, an=self))
 
     def canonical(self, ext):
         """The canonical decomposition R <= +R <= tR <= S of ext."""
-        dec = self._canonical.get(ext)
-        if dec is None:
-            from .canonical import canonical_decomposition
-            dec = self._canonical[ext] = canonical_decomposition(ext, an=self)
-        return dec
+        from .canonical import canonical_decomposition
+        return self._fact(("canonical", ext), lambda: canonical_decomposition(ext, an=self))
+
+    def t_closed(self, ext):
+        """The t-closedness test of ext, with its route and any witness."""
+        from .canonical import is_t_closed
+        return self._fact(("t-closed", ext), lambda: is_t_closed(ext, an=self))
 
     def edge_kind(self, T, U):
         """The minimal-step kind (inert, decomposed or ramified) of a cover T < U."""
-        key = (T, U)
-        kind = self._edge_kinds.get(key)
-        if kind is None:
-            from .canonical import classify_minimal
-            kind = self._edge_kinds[key] = classify_minimal(T, U, an=self)
-        return kind
+        from .canonical import classify_minimal
+        return self._fact(("edge kind", T, U), lambda: classify_minimal(T, U, an=self))
+
+    def crucial_ideal(self, T, U):
+        """The crucial ideal of a cover T < U, checked against its conductor."""
+        from .canonical import crucial_ideal
+        return self._fact(("crucial ideal", T, U), lambda: crucial_ideal(T, U, an=self))

@@ -32,7 +32,7 @@ from .lattice import interval_length, longest_chain
 INERT = "inert"
 DECOMPOSED = "decomposed"
 RAMIFIED = "ramified"
-SCAN_LINES = 2 ** 16  # most GF(q)-lines of S the t-closedness scan solves for
+SCAN_LINES = 2 ** 16  # the t-closedness scan's route limit, in GF(q)-lines of S
 
 
 @dataclass(frozen=True)
@@ -175,14 +175,17 @@ def is_t_closed(ext, an=None):
     mod R is GF(q)-linear, so the search over r is one membership test of
     (b^2, b^3) mod R in the span of the images of R's basis.  The condition
     is the same for b and cb, so the definitional scan makes one solve per
-    GF(q)-line of S.  This scan, the route independent of the edge kinds,
-    runs while S has at most ``SCAN_LINES`` lines; past that, every step of
-    one cover path of the pair's lattice must be inert.
+    GF(q)-line of S, one work unit each.  This scan, the route independent
+    of the edge kinds, runs while S has at most ``SCAN_LINES`` lines; past
+    that, every step of one cover path of the pair's lattice must be inert.
     """
     an = an or Analysis()
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
-    if (F.q ** S.dim - 1) // (F.q - 1) <= SCAN_LINES:
+    lines = (F.q ** S.dim - 1) // (F.q - 1)
+    if lines <= SCAN_LINES:
+        an.charge("t-closedness scan", lines)
+
         def mod_r(u, v):
             return gfq.reduce_vec(F, R.basis, u) + gfq.reduce_vec(F, R.basis, v)
 
@@ -336,7 +339,7 @@ def classify_chain(lat, chain, an=None):
     R = lat.ext.bottom
     for i, j in zip(chain.nodes, chain.nodes[1:]):
         steps.append(an.edge_kind(lat.nodes[i], lat.nodes[j]))
-        crux = crucial_ideal(lat.nodes[i], lat.nodes[j], an)
+        crux = an.crucial_ideal(lat.nodes[i], lat.nodes[j])
         traces.append(intersect_with(R, crux.basis))
     chain.steps = tuple(steps)
     chain.crucial_traces = tuple(traces)
@@ -372,7 +375,7 @@ def verify_chain_classification(lat, chain, an=None):
     all_inert = all(k == INERT for k in kinds)
     all_rd = all(k in (RAMIFIED, DECOMPOSED) for k in kinds)
     infra = is_infra_integral(ext, an)
-    tcl = is_t_closed(ext, an).value
+    tcl = an.t_closed(ext).value
     violations = []
     if infra != all_rd:
         violations.append("infra-integral flag disagrees with the step census")

@@ -1,9 +1,12 @@
 """File-based front end: parse instances, run analyses, emit reports.
 
-Instances are JSON documents (see schema/instance.json).  Exit codes:
-0 success, 1 parse/validation error, 2 budget exceeded, 3 a structural
-cross-check failed (a bug signal, printed with its machine tag), 141 the
-reader closed stdout early (128 + SIGPIPE, as a shell reports a broken pipe).
+Instances are JSON documents (see schema/instance.json).  Each command has
+one work budget (``--budget``, in the units of ``ringlat.analysis``) that its
+enumerations, oracle, t-closedness scans and chain listing all charge.  Exit
+codes: 0 success, 1 parse/validation error, 2 work budget exceeded (one
+stderr line naming the phase), 3 a structural cross-check failed (a bug
+signal, printed with its machine tag), 141 the reader closed stdout early
+(128 + SIGPIPE, as a shell reports a broken pipe).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .algebra import (
     make_product,
     support,
 )
-from .analysis import DEFAULT_NODE_BUDGET, Analysis
+from .analysis import DEFAULT_BUDGET, Analysis, BudgetExceeded
 from .canonical import (
     census,
     chain_trace_set,
@@ -34,7 +37,6 @@ from .canonical import (
     classify_cover_edges,
     is_infra_integral,
     is_subintegral,
-    is_t_closed,
     lambda_crosscheck,
     lambda_invariant,
     length_additivity_check,
@@ -43,8 +45,6 @@ from .canonical import (
 from .gen import GenSpec, RejectionExhausted, random_extension
 from .gfq import GF
 from .lattice import (
-    DEFAULT_SUBSPACE_BUDGET,
-    BudgetExceeded,
     brute_force_interval,
     check_distributivity,
     interval_length,
@@ -194,8 +194,8 @@ def _rows(node):
 
 
 def analysis_for(args):
-    """The analysis context of one command, with the command's budgets."""
-    return Analysis(node_budget=args.budget_nodes, threads=args.threads)
+    """The analysis context of one command, with the command's work budget."""
+    return Analysis(budget=args.budget, threads=args.threads)
 
 
 def build_result(ext, args):
@@ -312,8 +312,9 @@ def cmd_nagata(args):
 
 def cmd_oracle(args):
     ext = load_instance(args.path)
-    lat = analysis_for(args).lattice(ext)
-    oracle = brute_force_interval(ext, subspace_budget=args.budget_subspaces)
+    an = analysis_for(args)
+    lat = an.lattice(ext)
+    oracle = brute_force_interval(ext, an)
     fast = set(lat.nodes)
     doc = {
         "enumerated": len(fast),
@@ -334,8 +335,8 @@ def _check_suite(ext, args):
     edge_kinds = classify_cover_edges(lat, an)
 
     try:
-        oracle = brute_force_interval(ext, subspace_budget=args.budget_subspaces)
-    except BudgetExceeded:
+        oracle = brute_force_interval(ext, an)
+    except BudgetExceeded:  # charged nothing: the rest of the suite still runs
         ok, detail = True, "skipped: over subspace budget"
     else:
         ok, detail = set(lat.nodes) == oracle, f"{len(lat.nodes)} nodes"
@@ -343,9 +344,10 @@ def _check_suite(ext, args):
 
     an.canonical(ext)  # its cross-checks run before the census checks print
     infra = is_infra_integral(ext, an)
-    tcl_res = is_t_closed(ext, an)
+    tcl_res = an.t_closed(ext)
     kinds = [k.kind for k in edge_kinds.values()]
-    chains, truncated = maximal_chains(lat)
+    chains, truncated = maximal_chains(lat, an.left)  # one more than is left raises
+    an.charge("maximal chains", len(chains) + truncated)
 
     yield "trichotomy-census", True, str(census(edge_kinds))
     all_rd = all(k in ("ramified", "decomposed") for k in kinds)
@@ -358,7 +360,7 @@ def _check_suite(ext, args):
 
     supp_set = frozenset(m.basis for m in support(ext, an))
     traces = {chain_trace_set(classify_chain(lat, c, an)) for c in chains}
-    ok = (not truncated) and (len(traces) <= 1) and \
+    ok = len(traces) <= 1 and \
         (not chains or traces == {supp_set} or (len(lat.nodes) == 1 and not supp_set))
     yield "crucial-trace-invariance", ok, f"{len(chains)} chains"
 
@@ -453,10 +455,9 @@ def make_parser():
             p.add_argument("path", help="instance JSON file")
         p.add_argument("--threads", type=int, default=1,
                        help="enumeration worker threads (output-identical)")
-        p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="most nodes any one interval enumeration may find")
-        p.add_argument("--budget-subspaces", type=int, default=DEFAULT_SUBSPACE_BUDGET,
-                       help="most subspaces the brute-force oracle may scan")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="work units the command may spend: closures, oracle "
+                            "subspaces, t-closedness scan solves and maximal chains")
 
     p = sub.add_parser("analyze", help="full analysis report")
     common(p)

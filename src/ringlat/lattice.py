@@ -6,7 +6,8 @@ and close under multiplication, (q**codim - 1) / (q - 1) closures per node.
 Completeness follows because any strictly larger intermediate ring contains
 a one-element enlargement T[s] with s in the complement, and T[s] = T[cs]
 for every nonzero scalar c.  A brute-force scan over all subspaces serves as
-an independent oracle.
+an independent oracle.  Both charge their analysis before they work: one
+unit per line vector of each node expanded, or per subspace to be scanned.
 """
 
 from __future__ import annotations
@@ -23,19 +24,8 @@ from .algebra import (
     generated_subalgebra,
     support,
 )
-from .analysis import DEFAULT_NODE_BUDGET, Analysis
+from .analysis import DEFAULT_BUDGET, Analysis
 from .gfq import complement_in, in_span, intersect_rowspaces, rref
-
-DEFAULT_SUBSPACE_BUDGET = 2 ** 24
-DEFAULT_TRANSVERSAL_BUDGET = 2 ** 22
-DEFAULT_CHAIN_BUDGET = 100_000
-
-
-class BudgetExceeded(RuntimeError):
-    def __init__(self, what, limit):
-        super().__init__(f"{what} budget exceeded (limit {limit})")
-        self.what = what
-        self.limit = limit
 
 
 @dataclass
@@ -93,23 +83,23 @@ class ChainReport:
     crucial_traces: tuple = None   # crucial ideal of each step, met with R
 
 
-def _closure_tasks(ext, node):
+def _closure_tasks(ext, node, an):
     F = ext.ambient.field
     comp = complement_in(F, node.basis, ext.top.basis)
-    if (F.q ** len(comp) - 1) // (F.q - 1) > DEFAULT_TRANSVERSAL_BUDGET:
-        raise BudgetExceeded("coset transversal", DEFAULT_TRANSVERSAL_BUDGET)
+    an.charge("interval enumeration", (F.q ** len(comp) - 1) // (F.q - 1))
     return list(gfq.line_vectors(F, comp))
 
 
-def enumerate_interval(ext, node_budget=DEFAULT_NODE_BUDGET, threads=1):
+def enumerate_interval(ext, an=None):
     """Every intermediate ring of ext, sorted by (dimension, basis)."""
+    an = an or Analysis()
     A = ext.ambient
     seen = {ext.bottom.basis: ext.bottom}
     frontier = [ext.bottom]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = ThreadPoolExecutor(max_workers=an.threads) if an.threads > 1 else None
     try:
         while frontier:
-            tasks = [(node, s) for node in frontier for s in _closure_tasks(ext, node)]
+            tasks = [(node, s) for node in frontier for s in _closure_tasks(ext, node, an)]
 
             def close(task):
                 node, s = task
@@ -121,28 +111,20 @@ def enumerate_interval(ext, node_budget=DEFAULT_NODE_BUDGET, threads=1):
                 if new.basis not in seen:
                     seen[new.basis] = new
                     frontier.append(new)
-                    if len(seen) > node_budget:
-                        raise BudgetExceeded("node count", node_budget)
     finally:
         if pool:
             pool.shutdown()
     nodes = sorted(seen.values(), key=lambda n: (n.dim, n.basis))
-    lat = ExtensionLattice(
-        ext=ext,
-        nodes=tuple(nodes),
-        bottom=nodes.index(ext.bottom),
-        top=nodes.index(ext.top),
-    )
-    return lat
+    return ExtensionLattice(ext=ext, nodes=tuple(nodes),
+                            bottom=nodes.index(ext.bottom), top=nodes.index(ext.top))
 
 
-def brute_force_interval(ext, subspace_budget=DEFAULT_SUBSPACE_BUDGET):
+def brute_force_interval(ext, an=None):
     """Scan all subspaces between bottom and top, keep the closed ones."""
     A = ext.ambient
     F = A.field
     codim = ext.top.dim - ext.bottom.dim
-    if gfq.count_subspaces(F.q, codim) > subspace_budget:
-        raise BudgetExceeded("subspace scan", subspace_budget)
+    (an or Analysis()).charge("subspace oracle", gfq.count_subspaces(F.q, codim))
     comp = complement_in(F, ext.bottom.basis, ext.top.basis)
     found = set()
     for mat in gfq.all_rref_matrices(F, codim):
@@ -280,22 +262,21 @@ def check_distributivity(lat):
     return True, None
 
 
-def maximal_chains(lat, budget=DEFAULT_CHAIN_BUDGET):
-    """All bottom-to-top cover paths in depth-first order; flags truncation."""
+def maximal_chains(lat, limit=DEFAULT_BUDGET):
+    """The first limit bottom-to-top cover paths in depth-first order, and
+    whether there are more."""
     chains = []
-    truncated = False
     stack = [(lat.bottom, (lat.bottom,))]
     while stack:
         node, path = stack.pop()
         if node == lat.top:
+            if len(chains) == limit:
+                return chains, True
             chains.append(ChainReport(nodes=path))
-            if len(chains) >= budget:
-                truncated = bool(stack)
-                break
             continue
         for j in reversed(lat.up(node)):
             stack.append((j, path + (j,)))
-    return chains, truncated
+    return chains, False
 
 
 def quotient_interval_check(ext, J_rows, an=None):

@@ -1,5 +1,7 @@
 import pytest
 
+from ringlat import cli
+
 from ringlat.algebra import (
     Extension,
     Subalgebra,
@@ -95,3 +97,24 @@ def deep_local_ext(F2):
     S = make_poly_quotient(F2, (0, 0, 0, 0, 0, 1))
     R = generated_subalgebra(S, [S.basis_vec(2)])
     return Extension(R, S)
+
+
+@pytest.fixture
+def spent_at_default(monkeypatch, capsys):
+    """Run one CLI command with the default budget; returns (stdout, units spent)."""
+    def _run(argv):
+        made = []
+        original = cli.analysis_for
+
+        def record(args):
+            made.append(original(args))
+            return made[-1]
+
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "analysis_for", record)
+            assert cli.main(argv) == 0
+        assert len(made) == 1
+        return capsys.readouterr().out, made[0].spent
+
+    return _run

@@ -1,8 +1,9 @@
-"""The per-command analysis context: memoization, budgets on every path."""
+"""The per-command analysis context: memoization, one budget on every path."""
 
 import contextlib
 import io
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -11,9 +12,8 @@ import pytest
 
 from ringlat import algebra, canonical, lattice
 from ringlat.algebra import Extension, Subalgebra
-from ringlat.analysis import Analysis
+from ringlat.analysis import Analysis, BudgetExceeded
 from ringlat.cli import main
-from ringlat.lattice import BudgetExceeded
 
 Y5 = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 0, 0, 0, 0, 1]}}
 Y6 = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 0, 0, 0, 0, 0, 1]}}
@@ -75,9 +75,11 @@ def test_facts_are_shared_within_one_analysis(ext44):
 
 
 def test_a_fresh_analysis_computes_again(ext44):
-    assert Analysis().lattice(ext44) is not Analysis().lattice(ext44)
+    first, second = Analysis(), Analysis()
+    assert first.lattice(ext44) is not second.lattice(ext44)
+    assert first.spent == second.spent > 0
     with pytest.raises(BudgetExceeded):
-        Analysis(node_budget=2).lattice(ext44)
+        Analysis(budget=2).lattice(ext44)
 
 
 def test_nilradical_once_per_distinct_ring(write, monkeypatch):
@@ -115,19 +117,57 @@ def test_analyze_makes_no_t_closed_call(monkeypatch, name):
 @pytest.mark.parametrize("name", ["product", "f9-mixed"])
 def test_check_classifies_each_edge_once(monkeypatch, name):
     """Every lattice, chain and t-closedness test of check that meets a cover
-    edge reads one memoized classification."""
-    calls = Counter()
-    spy(monkeypatch, canonical, "classify_minimal",
-        lambda args, kwargs, result: calls.update([(ring_content(args[0]),
-                                                    ring_content(args[1]))]))
+    edge reads one memoized classification, and every maximal chain through
+    it one memoized crucial ideal."""
+    calls = {fn: Counter() for fn in ("classify_minimal", "crucial_ideal")}
+    for fn, counter in calls.items():
+        spy(monkeypatch, canonical, fn,
+            lambda args, kwargs, result, counter=counter: counter.update(
+                [(ring_content(args[0]), ring_content(args[1]))]))
     run(["check", str(GOLDEN / f"{name}.json")])
-    assert calls and max(calls.values()) == 1
+    assert all(c and max(c.values()) == 1 for c in calls.values())
+
+
+@pytest.mark.parametrize("name", ["y5", "product", "f9-mixed"])
+def test_check_tests_t_closedness_once(monkeypatch, name):
+    """census-vs-predicates and chain-classification share one scan."""
+    calls = []
+    spy(monkeypatch, canonical, "is_t_closed",
+        lambda args, kwargs, result: calls.append(result))
+    run(["check", str(GOLDEN / f"{name}.json")])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("verb", [("check",), ("nagata", "--json"), ("analyze", "--json")])
 def test_budget_nodes_reaches_nested_enumerations(write, monkeypatch, verb):
-    budgets = []
+    """Every enumeration of a command charges the command's one analysis."""
+    analyses = []
     spy(monkeypatch, lattice, "enumerate_interval",
-        lambda args, kwargs, result: budgets.append(kwargs.get("node_budget")))
-    run([verb[0], write(PRODUCT), *verb[1:], "--budget-nodes", "50"])
-    assert len(budgets) > 1 and set(budgets) == {50}
+        lambda args, kwargs, result: analyses.append(args[1]))
+    run([verb[0], write(PRODUCT), *verb[1:], "--budget", "5000"])
+    assert len(analyses) > 1 and len(set(map(id, analyses))) == 1
+    assert analyses[0].budget == 5000 and analyses[0].spent > 0
+
+
+BUDGET_ERROR = (r"error: work budget exceeded in (interval enumeration|subspace oracle"
+                r"|t-closedness scan|maximal chains): \d+ of {} units spent, \d+ more requested\n")
+
+
+@pytest.mark.parametrize("verb", ["analyze", "lattice", "nagata", "check"])
+@pytest.mark.parametrize("name", ["f4-y3", "f9-mixed", "product", "y4", "y5", "y7-over-y2"])
+def test_budget_counts_what_is_done(spent_at_default, capsys, name, verb):
+    """A budget of exactly the units a report spends prints its golden bytes;
+    one unit less ends with exit 2, one stderr line naming the phase that ran
+    out, and only the lines that finished before it."""
+    flags = {"analyze": ["--json"], "lattice": ["--format", "json"], "nagata": ["--json"]}
+    argv = [verb, str(GOLDEN / f"{name}.json"), *flags.get(verb, [])]
+    golden = (GOLDEN / f"{name}.{verb}.out").read_text()
+    out, spent = spent_at_default(argv)
+    assert out == golden and spent > 0
+    assert run([*argv, "--budget", str(spent)]) == golden
+    capsys.readouterr()
+    assert main([*argv, "--budget", str(spent - 1)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(BUDGET_ERROR.format(spent - 1), captured.err)
+    # check prints its finished lines first, the others print nothing
+    assert golden.startswith(captured.out) and (verb == "check" or captured.out == "")

@@ -13,7 +13,7 @@ from ringlat.algebra import (
     make_product,
     support,
 )
-from ringlat.analysis import Analysis
+from ringlat.analysis import Analysis, BudgetExceeded
 from ringlat.canonical import (
     DECOMPOSED,
     INERT,
@@ -128,6 +128,15 @@ def test_t_closed_scan_vs_chain_paths(monkeypatch, ext44, ext64, ext_chain3):
     for scan, chain in zip(by_scan, by_chain):
         assert scan.method == "scan" and chain.method == "chain"
         assert scan.value == chain.value
+
+
+def test_t_closed_scan_charges_its_lines(ext64):
+    """GF(2) inside GF(64): the scan charges one unit per GF(2)-line of S,
+    2^6 - 1 = 63, before it solves."""
+    an = Analysis()
+    assert is_t_closed(ext64, an).method == "scan" and an.spent == 63
+    with pytest.raises(BudgetExceeded):
+        is_t_closed(ext64, Analysis(budget=62))
 
 
 def reference_t_closed(ext):

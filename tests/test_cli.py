@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from ringlat import cli
 from ringlat.cli import main, parse_instance, serialize_instance
+from ringlat.gfq import count_subspaces
 
 EX44 = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 0, 0, 0, 1]}}
 F64 = {"field": {"p": 2, "e": 1},
@@ -105,8 +107,33 @@ def test_exit_code_validation_error(write):
 
 
 def test_exit_code_budget(write):
-    rc, _, err = run_cli(["analyze", write(EX44), "--budget-nodes", "2"])
-    assert rc == 2 and "budget" in err
+    rc, out, err = run_cli(["analyze", write(EX44), "--budget", "2"])
+    assert rc == 2 and out == ""
+    assert err == ("error: work budget exceeded in interval enumeration: "
+                   "0 of 2 units spent, 7 more requested\n")
+
+
+def test_chain_listing_over_budget_exits_2(spent_at_default, monkeypatch, capsys):
+    """A maximal-chain listing cut short by the budget is a budget error,
+    not a failed check."""
+    path = str(GOLDEN / "y5.json")
+    left = []
+    original = cli.maximal_chains
+
+    def record(lat, limit):
+        left.append(limit)
+        return original(lat, limit)
+
+    monkeypatch.setattr(cli, "maximal_chains", record)
+    _, spent = spent_at_default(["check", path])
+    chains = len(original(cli.Analysis().lattice(cli.load_instance(path)))[0])
+    before = cli.DEFAULT_BUDGET - left[0]  # units spent when the listing starts
+    assert before + chains <= spent
+    assert main(["check", path, "--budget", str(before + chains - 1)]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out
+    assert captured.err.startswith("error: work budget exceeded in maximal chains: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_exit_code_missing_field(write):
@@ -159,16 +186,20 @@ def test_check_subcommand(write):
     assert "fip-criteria-agreement" in out
 
 
-@pytest.mark.parametrize("budget,oracle_line", [
-    (16, "6 nodes"),  # GF(2)^3, the codimension of y4, has 16 subspaces
-    (15, "skipped: over subspace budget"),
+@pytest.mark.parametrize("short,oracle_line", [
+    (0, "4 nodes"),
+    (374, "skipped: over subspace budget"),  # GF(2)^5 has 374 subspaces
 ])
-def test_check_oracle_subspace_budget(capsys, budget, oracle_line):
-    golden = GOLDEN / "y4.check.out"
-    assert main(["check", str(GOLDEN / "y4.json"), "--budget-subspaces", str(budget)]) == 0
-    expected = golden.read_text().replace(
-        "oracle-interval-equality: 6 nodes", f"oracle-interval-equality: {oracle_line}")
-    assert capsys.readouterr().out == expected
+def test_check_oracle_subspace_budget(write, spent_at_default, capsys, short, oracle_line):
+    """GF(2) inside GF(64): the oracle charges its 374 subspaces, more than the
+    rest of check spends.  Take them from the default spend and the oracle
+    is skipped, charging nothing, while every other line finishes."""
+    path = write(F64)
+    default, spent = spent_at_default(["check", path])
+    assert count_subspaces(2, 5) == 374 > spent - 374
+    assert main(["check", path, "--budget", str(spent - short)]) == 0
+    assert capsys.readouterr().out == default.replace(
+        "oracle-interval-equality: 4 nodes", f"oracle-interval-equality: {oracle_line}")
 
 
 def test_check_generated_campaign():

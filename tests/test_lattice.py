@@ -1,9 +1,9 @@
 import pytest
 
 from ringlat.algebra import Extension, Subalgebra, generated_subalgebra, make_product
+from ringlat.analysis import Analysis, BudgetExceeded
 from ringlat.gfq import GF
 from ringlat.lattice import (
-    BudgetExceeded,
     brute_force_interval,
     check_distributivity,
     enumerate_interval,
@@ -77,24 +77,31 @@ def test_one_closure_per_line(monkeypatch, n, from_bottom):
 
 
 def test_node_budget(ext44):
+    """Each node found costs at least one closure, so the work budget bounds
+    the node count: nodes <= units + 1."""
+    an = Analysis()
+    assert len(enumerate_interval(ext44, an).nodes) <= an.spent + 1
     with pytest.raises(BudgetExceeded):
-        enumerate_interval(ext44, node_budget=2)
+        enumerate_interval(ext44, Analysis(budget=2))
 
 
-def test_transversal_budget_counts_lines(monkeypatch):
-    """GF(4) inside GF(4)[Y]/(Y^3) has codim 2: enumeration builds
-    (16 - 1) / 3 = 5 line vectors from the bottom, so a budget of 5 lines
-    admits it and a budget of 4 does not."""
-    from ringlat import lattice
+def test_transversal_budget_counts_lines():
+    """GF(4) inside GF(4)[Y]/(Y^3) has codim 2: enumeration charges
+    (16 - 1) / 3 = 5 line vectors for the bottom and 1 for each node of
+    codim 1, and a budget one unit short of that raises."""
     from ringlat.algebra import make_poly_quotient
 
     T = make_poly_quotient(GF(2, 2), (0, 0, 0, 1))
     ext = Extension(generated_subalgebra(T, []), T)
-    monkeypatch.setattr(lattice, "DEFAULT_TRANSVERSAL_BUDGET", 5)
-    assert set(enumerate_interval(ext).nodes) == brute_force_interval(ext)
-    monkeypatch.setattr(lattice, "DEFAULT_TRANSVERSAL_BUDGET", 4)
+    an = Analysis()
+    nodes = enumerate_interval(ext, an).nodes
+    assert an.spent == 5 + sum(1 for n in nodes if n.dim == 2)
+    exact = Analysis(budget=an.spent)
+    assert set(enumerate_interval(ext, exact).nodes) == brute_force_interval(ext)
     with pytest.raises(BudgetExceeded):
-        enumerate_interval(ext)
+        enumerate_interval(ext, Analysis(budget=4))
+    with pytest.raises(BudgetExceeded):
+        enumerate_interval(ext, Analysis(budget=an.spent - 1))
 
 
 def test_interval_length_examples(ext44, ext64, ext_chain3):
@@ -229,8 +236,10 @@ def test_maximal_chains(ext44, ext64, ext_chain3):
     assert len(chains64) == 2
     chains44, _ = maximal_chains(enumerate_interval(ext44))
     assert len(chains44) == EX44_CHAIN_COUNT
-    partial, trunc = maximal_chains(enumerate_interval(ext44), budget=2)
+    partial, trunc = maximal_chains(enumerate_interval(ext44), 2)
     assert len(partial) == 2 and trunc
+    exact, trunc = maximal_chains(enumerate_interval(ext44), EX44_CHAIN_COUNT)
+    assert len(exact) == EX44_CHAIN_COUNT and not trunc
 
 
 def test_maximal_chains_consistent_with_length(ext44):
@@ -250,7 +259,7 @@ def test_quotient_interval_bijection(ext44):
 def test_dot_output_stable(ext44):
     lat = enumerate_interval(ext44)
     out1 = to_dot(lat)
-    out2 = to_dot(enumerate_interval(ext44, threads=3))
+    out2 = to_dot(enumerate_interval(ext44, Analysis(threads=3)))
     assert out1 == out2
     assert out1.startswith("digraph interval {")
     assert out1.count("->") == len(lat.covers)
@@ -259,5 +268,5 @@ def test_dot_output_stable(ext44):
 def test_threads_do_not_change_nodes(ext44, ext64):
     for ext in (ext44, ext64):
         a = enumerate_interval(ext)
-        b = enumerate_interval(ext, threads=4)
+        b = enumerate_interval(ext, Analysis(threads=4))
         assert tuple(n.basis for n in a.nodes) == tuple(n.basis for n in b.nodes)
