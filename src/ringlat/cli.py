@@ -3,10 +3,11 @@
 Instances are JSON documents (see schema/instance.json).  Each command has
 one work budget (``--budget``, in the units of ``ringlat.analysis``) that its
 enumerations, oracle, t-closedness scans and chain listing all charge.  Exit
-codes: 0 success, 1 parse/validation error, 2 work budget exceeded (one
-stderr line naming the phase), 3 a structural cross-check failed (a bug
-signal, printed with its machine tag), 141 the reader closed stdout early
-(128 + SIGPIPE, as a shell reports a broken pipe).
+codes: 0 success, 1 parse/validation error or a usage error (argparse's
+usage text on stderr), 2 work budget exceeded (one stderr line naming the
+phase), 3 a structural cross-check failed (a bug signal, printed with its
+machine tag), 141 the reader closed stdout early (128 + SIGPIPE, as a shell
+reports a broken pipe).
 """
 
 from __future__ import annotations
@@ -442,8 +443,21 @@ def cmd_gen(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _units(text):
+    """A --budget value: a whole number of work units, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number, 0 or more, got {text!r}")
+    return int(text)
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringlat",
         description="Analyze the lattice of intermediate rings of a finite "
                     "algebra extension over GF(q).")
@@ -455,7 +469,7 @@ def make_parser():
             p.add_argument("path", help="instance JSON file")
         p.add_argument("--threads", type=int, default=1,
                        help="enumeration worker threads (output-identical)")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_units, default=DEFAULT_BUDGET,
                        help="work units the command may spend: closures, oracle "
                             "subspaces, t-closedness scan solves and maximal chains")
 
@@ -517,10 +531,7 @@ def main(argv=None):
         # Nothing more can be written; send the flush at exit to the null device.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ParseError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except (AlgebraError, RejectionExhausted) as ex:
+    except (ParseError, AlgebraError, RejectionExhausted) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     except BudgetExceeded as ex:

@@ -1,20 +1,23 @@
 """The interval [R, S] of intermediate rings: enumeration and order structure.
 
 Enumeration is a breadth-first closure: from each known intermediate ring T,
-adjoin one vector s of each GF(q)-line of a complement of T in the top ring
+adjoin one vector c of each GF(q)-line of a complement C of T in the top ring
 and close under multiplication, (q**codim - 1) / (q - 1) closures per node.
 Completeness follows because any strictly larger intermediate ring contains
-a one-element enlargement T[s] with s in the complement, and T[s] = T[cs]
-for every nonzero scalar c.  A brute-force scan over all subspaces serves as
-an independent oracle.  Both charge their analysis before they work: one
-unit per line vector of each node expanded, or per subspace to be scanned.
+some T[c], and T[c] = T[ac] for every nonzero scalar a.  The closures also
+give the covers: X covers T iff (q**(dim X - dim T) - 1) / (q - 1) of them,
+one per line of X ∩ C, give X, because X = T + (X ∩ C) and a ring strictly
+between T and X takes the lines it contains.  A brute-force scan over all
+subspaces serves as an independent oracle.  Both charge their analysis
+before they work: one unit per line vector of each node expanded, or per
+subspace to be scanned.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gfq
 from .algebra import (
@@ -30,48 +33,25 @@ from .gfq import complement_in, in_span, intersect_rowspaces, rref
 
 @dataclass
 class ExtensionLattice:
-    """The full interval with its covering (Hasse) relation."""
+    """The full interval; covers holds the sorted (i, j) with nodes[j] covering nodes[i]."""
 
     ext: Extension
     nodes: tuple
     bottom: int
     top: int
-    _leq: dict = field(default_factory=dict, repr=False)
-    _covers: tuple = field(default=None, repr=False)
+    covers: tuple
 
     def leq(self, i, j):
-        key = (i, j)
-        if key not in self._leq:
-            a, b = self.nodes[i], self.nodes[j]
-            self._leq[key] = a.dim <= b.dim and b.contains(a)
-        return self._leq[key]
-
-    @property
-    def covers(self):
-        if self._covers is None:
-            out = []
-            n = len(self.nodes)
-            for i in range(n):
-                ups = [j for j in range(n)
-                       if j != i and self.nodes[j].dim > self.nodes[i].dim
-                       and self.leq(i, j)]
-                for j in ups:
-                    if not any(k != j and self.leq(k, j) for k in ups):
-                        out.append((i, j))
-            self._covers = tuple(sorted(out))
-        return self._covers
+        a, b = self.nodes[i], self.nodes[j]
+        return a.dim <= b.dim and b.contains(a)
 
     def up(self, i):
         return tuple(j for a, j in self.covers if a == i)
 
     def index_of(self, node):
-        for i, n in enumerate(self.nodes):
-            if n == node:
-                return i
-        raise AlgebraError("not a node of this lattice")
-
-    def __len__(self):
-        return len(self.nodes)
+        if node not in self.nodes:
+            raise AlgebraError("not a node of this lattice")
+        return self.nodes.index(node)
 
 
 @dataclass
@@ -91,10 +71,15 @@ def _closure_tasks(ext, node, an):
 
 
 def enumerate_interval(ext, an=None):
-    """Every intermediate ring of ext, sorted by (dimension, basis)."""
+    """Every intermediate ring of ext, sorted by (dimension, basis), and the
+    covers: X = T[c] covers T iff (q**(dim X - dim T) - 1) / (q - 1) closures
+    from T give X, one per line of X ∩ C, as X = T + (X ∩ C) for the
+    complement C of T and a ring strictly between takes the lines it contains."""
     an = an or Analysis()
     A = ext.ambient
+    q = A.field.q
     seen = {ext.bottom.basis: ext.bottom}
+    hits = {}  # (T, X) bases -> closures from T that gave X
     frontier = [ext.bottom]
     pool = ThreadPoolExecutor(max_workers=an.threads) if an.threads > 1 else None
     try:
@@ -107,7 +92,9 @@ def enumerate_interval(ext, an=None):
 
             results = pool.map(close, tasks) if pool else map(close, tasks)
             frontier = []
-            for new in results:
+            for (node, _), new in zip(tasks, results):
+                edge = node.basis, new.basis
+                hits[edge] = hits.get(edge, 0) + 1
                 if new.basis not in seen:
                     seen[new.basis] = new
                     frontier.append(new)
@@ -115,8 +102,11 @@ def enumerate_interval(ext, an=None):
         if pool:
             pool.shutdown()
     nodes = sorted(seen.values(), key=lambda n: (n.dim, n.basis))
-    return ExtensionLattice(ext=ext, nodes=tuple(nodes),
-                            bottom=nodes.index(ext.bottom), top=nodes.index(ext.top))
+    index = {n.basis: k for k, n in enumerate(nodes)}
+    covers = sorted((index[t], index[x]) for (t, x), count in hits.items()
+                    if count == (q ** (len(x) - len(t)) - 1) // (q - 1))
+    return ExtensionLattice(ext=ext, nodes=tuple(nodes), bottom=index[ext.bottom.basis],
+                            top=index[ext.top.basis], covers=tuple(covers))
 
 
 def brute_force_interval(ext, an=None):
@@ -165,12 +155,10 @@ def longest_chain(lat):
 
 
 def is_chained(lat):
-    """True iff the nodes are totally ordered by inclusion."""
-    dims = [n.dim for n in lat.nodes]
-    if len(set(dims)) != len(dims):
-        return False
-    order = sorted(range(len(lat.nodes)), key=lambda i: dims[i])
-    return all(lat.leq(order[k], order[k + 1]) for k in range(len(order) - 1))
+    """True iff the nodes are totally ordered by inclusion, that is iff no node
+    has two upper covers: the meet of two incomparable nodes would."""
+    lower = [i for i, _ in lat.covers]
+    return len(set(lower)) == len(lower)
 
 
 def first_incomparable_pair(lat):

@@ -5,6 +5,7 @@ values for the running example were produced by the brute-force subspace
 oracle before the enumeration path was built.
 """
 
+import itertools
 import time
 
 import pytest
@@ -118,6 +119,25 @@ def test_criterion_1_running_example_regression(ex44):
     report(1, "running-example regression")
 
 
+def definitional_covers(nodes):
+    """The pairs (i, j) with nodes[i] < nodes[j] and no node strictly between,
+    by direct containment tests."""
+    below = {(i, j) for i, j in itertools.permutations(range(len(nodes)), 2)
+             if nodes[i].dim < nodes[j].dim and nodes[j].contains(nodes[i])}
+    return {(i, j) for i, j in below
+            if not any((i, k) in below and (k, j) in below for k in range(len(nodes)))}
+
+
+def assert_matches_oracle(ext):
+    """Enumeration finds the oracle's rings, and its covers are those rings'
+    definitional covers."""
+    lat = enumerate_interval(ext)
+    oracle = brute_force_interval(ext)
+    assert set(lat.nodes) == oracle
+    nodes = sorted(oracle, key=lambda n: (n.dim, n.basis))
+    assert lat.covers == tuple(sorted(definitional_covers(nodes)))
+
+
 def test_criterion_2_oracle_equivalence():
     t0 = time.monotonic()
     checked = 0
@@ -128,16 +148,13 @@ def test_criterion_2_oracle_equivalence():
         prime = generated_subalgebra(S, [])
         all_bottoms = brute_force_interval(Extension(prime, S))
         for R in sorted(all_bottoms, key=lambda n: (n.dim, n.basis)):
-            ext = Extension(R, S)
-            fast = set(enumerate_interval(ext).nodes)
-            assert fast == brute_force_interval(ext)
+            assert_matches_oracle(Extension(R, S))
             checked += 1
     # seeded sample over GF(3)
     sampled = 0
     for ext in random_extension(GenSpec(seed=300, q=3, max_dim=4,
                                         shape="mixed", count=50)):
-        fast = set(enumerate_interval(ext).nodes)
-        assert fast == brute_force_interval(ext)
+        assert_matches_oracle(ext)
         sampled += 1
     assert sampled >= 50
     # seeded samples over extension fields, where a line has more than
@@ -145,8 +162,7 @@ def test_criterion_2_oracle_equivalence():
     for q, count in ((4, 50), (9, 30)):
         for ext in random_extension(GenSpec(seed=100 * q, q=q, max_dim=4,
                                             shape="mixed", count=count)):
-            fast = set(enumerate_interval(ext).nodes)
-            assert fast == brute_force_interval(ext)
+            assert_matches_oracle(ext)
             sampled += 1
     assert sampled >= 130
     elapsed = time.monotonic() - t0

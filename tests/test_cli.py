@@ -113,6 +113,25 @@ def test_exit_code_budget(write):
                    "0 of 2 units spent, 7 more requested\n")
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", str(GOLDEN / "y4.json"), "--bogus"],
+    ["analyze", str(GOLDEN / "y4.json"), "--budget", "many"],
+    ["analyze", str(GOLDEN / "y4.json"), "--budget", "-1"],
+    ["check"],
+], ids=["unknown-option", "non-integer", "negative-budget", "bare-check"])
+def test_usage_error_exits_1(args):
+    """A usage error has the parse/validation status 1, not the budget status
+    2, with argparse's usage text on stderr."""
+    rc, out, err = run_cli(args)
+    assert rc == 1 and out == ""
+    assert err.startswith("usage:") and "Traceback" not in err
+
+
+def test_zero_budget_is_valid(capsys):
+    assert main(["analyze", str(GOLDEN / "y4.json"), "--budget", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: work budget exceeded")
+
+
 def test_chain_listing_over_budget_exits_2(spent_at_default, monkeypatch, capsys):
     """A maximal-chain listing cut short by the budget is a budget error,
     not a failed check."""

@@ -270,3 +270,28 @@ def test_threads_do_not_change_nodes(ext44, ext64):
         a = enumerate_interval(ext)
         b = enumerate_interval(ext, Analysis(threads=4))
         assert tuple(n.basis for n in a.nodes) == tuple(n.basis for n in b.nodes)
+        assert a.covers == b.covers
+
+
+@pytest.mark.parametrize("name", ["y5", "product"])
+def test_order_reads_make_no_containment_test(monkeypatch, name):
+    """The covers come with the enumeration: reading them, the upper covers of
+    each node and chainedness tests no containment."""
+    from pathlib import Path
+
+    from ringlat.algebra import Subspace
+    from ringlat.cli import load_instance
+
+    lat = enumerate_interval(load_instance(Path(__file__).parent / "golden" / f"{name}.json"))
+    calls = []
+    original = Subspace.contains
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "contains", counting)
+    assert lat.covers
+    assert all(lat.up(i) or i == lat.top for i in range(len(lat.nodes)))
+    assert not is_chained(lat)
+    assert calls == []
