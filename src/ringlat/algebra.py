@@ -24,6 +24,7 @@ from .gfq import (
     coords_in_rref,
     in_span,
     intersect_rowspaces,
+    lincomb,
     reduce_vec,
     rref,
     vadd,
@@ -97,20 +98,7 @@ class Algebra:
         return zero_vec(self.dim)
 
     def mul(self, u, v):
-        F = self.field
-        acc = [0] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = F.mul(ui, vj)
-                for k, t in enumerate(row[j]):
-                    if t:
-                        acc[k] = F.add(acc[k], F.mul(c, t))
-        return tuple(acc)
+        return gfq.algebra_product(self.field, self.table, u, v)
 
     def pow(self, u, k):
         result = self.one
@@ -334,14 +322,7 @@ def conductor(R, S):
         unknown_rows.append(tuple(constraint))
     if not unknown_rows:
         return Ideal(R, (), check=False)
-    ker = gfq.left_kernel(F, unknown_rows)
-    rows = []
-    for coeffs in ker:
-        v = zero_vec(A.dim)
-        for c, r in zip(coeffs, R.basis):
-            if c:
-                v = vadd(F, v, vscale(F, c, r))
-        rows.append(v)
+    rows = [lincomb(F, coeffs, R.basis) for coeffs in gfq.left_kernel(F, unknown_rows)]
     ideal = Ideal(R, rows)
     # the conductor is an ideal of S as well; verify
     for x in ideal.basis:
@@ -392,14 +373,7 @@ def nilradical(ring):
         for c in w:
             digits.extend(F.element_digits(c))
         constraint_rows.append(tuple(digits))
-    ker = gfq.left_kernel(Fp, constraint_rows)
-    rows = []
-    for coeffs in ker:
-        v = zero_vec(A.dim)
-        for c, b in zip(coeffs, fp_basis):
-            if c:
-                v = vadd(F, v, vscale(F, c, b))
-        rows.append(v)
+    rows = [lincomb(F, coeffs, fp_basis) for coeffs in gfq.left_kernel(Fp, constraint_rows)]
     return Ideal(ring, rows)
 
 
@@ -412,12 +386,7 @@ class FactorMap:
     rows: tuple  # images of the factor basis in source coordinates
 
     def embed(self, vec):
-        F = self.source.field
-        v = zero_vec(self.source.dim)
-        for c, row in zip(vec, self.rows):
-            if c:
-                v = vadd(F, v, vscale(F, c, row))
-        return v
+        return lincomb(self.source.field, vec, self.rows)
 
     def coords(self, vec):
         c = coords_in_rref(self.source.field, self.rows, vec)

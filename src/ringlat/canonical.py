@@ -196,10 +196,7 @@ def is_t_closed(ext, an=None):
             target = mod_r(b2, A.mul(b2, b))
             images = [mod_r(A.mul(r, b), A.mul(r, b2)) for r in R.basis]
             if gfq.in_span(F, rref(F, images), target):
-                coeffs = gfq.express(F, images, target)
-                r = A.zero
-                for c, row in zip(coeffs, R.basis):
-                    r = gfq.vadd(F, r, gfq.vscale(F, c, row))
+                r = gfq.lincomb(F, gfq.express(F, images, target), R.basis)
                 return TClosedResult(False, "scan", (b, r))
         return TClosedResult(True, "scan")
     lat = an.lattice(ext)

@@ -3,15 +3,23 @@
 A field element of GF(p**e) is an int in ``range(q)``: the value
 ``sum(c[i] * p**i)`` encodes the polynomial-basis coordinates ``c`` of the
 element.  Vectors are tuples of such ints, matrices are tuples of row
-tuples.  Everything is immutable, hashable and exact; add/mul tables are
-precomputed once per field, which is cheap at desk scale (q <= 4096).
+tuples.  Everything is immutable, hashable and exact.
+
+A prime field (e = 1) stores nothing: its elements are ints mod p and every
+operation reduces mod p.  An extension field (e > 1) builds q x q add and
+mul tables once.  Only this module knows which of the two a field is.  The
+vector kernels (`lincomb`, `vadd`, `vsub`, `vscale`, `algebra_product`) and
+the eliminations built on them (`rref`, `reduce_vec`) choose once per call,
+not once per entry: over a prime field they compute with plain ints and
+reduce mod p, over an extension field they index local table rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
-MAX_TABLE_Q = 4096
+MAX_TABLE_Q = 4096  # the largest field GF accepts, and so the parser's field-size cap
 MAX_DEFAULT_MODULUS_Q = 64
 
 
@@ -76,7 +84,8 @@ class GF:
                 raise ValueError(f"modulus must be supplied for q = {q} > "
                                  f"{MAX_DEFAULT_MODULUS_Q}")
         self.modulus = self._check_modulus(tuple(modulus))
-        self._build_tables()
+        if e > 1:
+            self._build_tables()
 
     def _check_modulus(self, f):
         if len(f) != self.e + 1:
@@ -90,16 +99,12 @@ class GF:
         return f
 
     def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            digits = [self._digits(a) for a in range(q)]
-            self._add = [[self._encode([(x + y) % p for x, y in zip(digits[a], digits[b])])
-                          for b in range(q)] for a in range(q)]
-            self._mul = [[self._poly_mul_mod(digits[a], digits[b]) for b in range(q)]
-                         for a in range(q)]
+        p, q = self.p, self.q
+        digits = [self._digits(a) for a in range(q)]
+        self._add = [[self._encode([(x + y) % p for x, y in zip(digits[a], digits[b])])
+                      for b in range(q)] for a in range(q)]
+        self._mul = [[self._poly_mul_mod(digits[a], digits[b]) for b in range(q)]
+                     for a in range(q)]
         self._neg = [self._add[a].index(0) for a in range(q)]
         self._inv = [0] * q
         for a in range(1, q):
@@ -134,20 +139,30 @@ class GF:
         return self._encode(prod[:e])
 
     def add(self, a, b):
+        if self.e == 1:
+            return (a + b) % self.p
         return self._add[a][b]
 
     def sub(self, a, b):
+        if self.e == 1:
+            return (a - b) % self.p
         return self._add[a][self._neg[b]]
 
     def neg(self, a):
+        if self.e == 1:
+            return -a % self.p
         return self._neg[a]
 
     def mul(self, a, b):
+        if self.e == 1:
+            return a * b % self.p
         return self._mul[a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
+        if self.e == 1:
+            return pow(a, -1, self.p)
         return self._inv[a]
 
     def elements(self):
@@ -219,16 +234,76 @@ def zero_vec(n):
     return (0,) * n
 
 
+def lincomb(field, coeffs, rows):
+    """sum(c * row for c, row in zip(coeffs, rows)), over a nonempty list of rows."""
+    if field.e == 1:
+        p = field.p
+        return tuple([sum(map(mul, coeffs, col)) % p for col in zip(*rows)])
+    add, tab = field._add, field._mul
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            m = tab[c]
+            acc = [add[a][m[x]] for a, x in zip(acc, row)]
+    return tuple(acc)
+
+
 def vadd(field, u, v):
-    return tuple(field.add(x, y) for x, y in zip(u, v))
+    return _sub_scaled(field, u, field.neg(1), v)
 
 
 def vsub(field, u, v):
-    return tuple(field.sub(x, y) for x, y in zip(u, v))
+    return _sub_scaled(field, u, 1, v)
 
 
 def vscale(field, c, u):
-    return tuple(field.mul(c, x) for x in u)
+    if field.e == 1:
+        p = field.p
+        return tuple([c * x % p for x in u])
+    m = field._mul[c]
+    return tuple([m[x] for x in u])
+
+
+def _sub_scaled(field, u, c, v):
+    """u - c * v."""
+    if field.e == 1:
+        p = field.p
+        return tuple([(x - c * y) % p for x, y in zip(u, v)])
+    add, m = field._add, field._mul[field._neg[c]]
+    return tuple([add[x][m[y]] for x, y in zip(u, v)])
+
+
+def algebra_product(field, table, u, v):
+    """sum(u[i] * v[j] * table[i][j]): the product of u and v in the algebra
+    with structure constants table.
+
+    Structure constants are mostly zero, so this kernel skips zero entries
+    one by one rather than combining whole rows.
+    """
+    acc = [0] * len(u)
+    if field.e == 1:
+        p = field.p
+        for i, ui in enumerate(u):
+            if ui:
+                row = table[i]
+                for j, vj in enumerate(v):
+                    if vj:
+                        c = ui * vj
+                        for k, t in enumerate(row[j]):
+                            if t:
+                                acc[k] = (acc[k] + c * t) % p
+        return tuple(acc)
+    add, tab = field._add, field._mul
+    for i, ui in enumerate(u):
+        if ui:
+            row, mi = table[i], tab[ui]
+            for j, vj in enumerate(v):
+                if vj:
+                    m = tab[mi[vj]]
+                    for k, t in enumerate(row[j]):
+                        if t:
+                            acc[k] = add[acc[k]][m[t]]
+    return tuple(acc)
 
 
 def pivots_of(rows):
@@ -238,7 +313,7 @@ def pivots_of(rows):
 
 def rref(field, rows):
     """Reduced row echelon form; zero rows dropped, rows sorted by pivot."""
-    mat = [list(r) for r in rows]
+    mat = list(rows)
     if not mat:
         return ()
     ncols = len(mat[0])
@@ -248,12 +323,12 @@ def rref(field, rows):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        if mat[r][c] != 1:
+            mat[r] = vscale(field, field.inv(mat[r][c]), mat[r])
+        pivot = mat[r]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                mat[i] = _sub_scaled(field, row, row[c], pivot)
         r += 1
         if r == len(mat):
             break
@@ -262,15 +337,12 @@ def rref(field, rows):
 
 def reduce_vec(field, rows, vec):
     """Normal form of vec modulo the row space of rref rows."""
-    v = list(vec)
+    v = tuple(vec)
     for row in rows:
-        piv = next(j for j, x in enumerate(row) if x)
-        c = v[piv]
+        c = v[row.index(1)]  # the pivot: the first nonzero entry, and it is 1
         if c:
-            for j, y in enumerate(row):
-                if y:
-                    v[j] = field.sub(v[j], field.mul(c, y))
-    return tuple(v)
+            v = _sub_scaled(field, v, c, row)
+    return v
 
 
 def in_span(field, rows, vec):
@@ -349,13 +421,8 @@ def span_vectors(field, rows):
     """All elements of the row space (q**rank vectors)."""
     if not rows:
         return
-    n = len(rows[0])
     for coeffs in itertools.product(field.elements(), repeat=len(rows)):
-        v = zero_vec(n)
-        for c, row in zip(coeffs, rows):
-            if c:
-                v = vadd(field, v, vscale(field, c, row))
-        yield v
+        yield lincomb(field, coeffs, rows)
 
 
 def line_vectors(field, rows):
@@ -370,11 +437,7 @@ def line_vectors(field, rows):
     k = len(rows)
     for lead in reversed(range(k)):
         for tail in itertools.product(field.elements(), repeat=k - 1 - lead):
-            v = rows[lead]
-            for c, row in zip(tail, rows[lead + 1:]):
-                if c:
-                    v = vadd(field, v, vscale(field, c, row))
-            yield v
+            yield lincomb(field, (1,) + tail, rows[lead:])
 
 
 def count_subspaces(q, n):

@@ -41,12 +41,19 @@ class ExtensionLattice:
     top: int
     covers: tuple
 
+    def __post_init__(self):
+        up = [[] for _ in self.nodes]
+        for i, j in self.covers:
+            up[i].append(j)
+        self._up = tuple(map(tuple, up))
+
     def leq(self, i, j):
         a, b = self.nodes[i], self.nodes[j]
         return a.dim <= b.dim and b.contains(a)
 
     def up(self, i):
-        return tuple(j for a, j in self.covers if a == i)
+        """The upper covers of nodes[i], in increasing index order."""
+        return self._up[i]
 
     def index_of(self, node):
         if node not in self.nodes:
@@ -118,14 +125,8 @@ def brute_force_interval(ext, an=None):
     comp = complement_in(F, ext.bottom.basis, ext.top.basis)
     found = set()
     for mat in gfq.all_rref_matrices(F, codim):
-        lifted = []
-        for row in mat:
-            v = A.zero
-            for c, b in zip(row, comp):
-                if c:
-                    v = gfq.vadd(F, v, gfq.vscale(F, c, b))
-            lifted.append(v)
-        rows = rref(F, ext.bottom.basis + tuple(lifted))
+        lifted = tuple(gfq.lincomb(F, row, comp) for row in mat)
+        rows = rref(F, ext.bottom.basis + lifted)
         closed = all(in_span(F, rows, A.mul(a, b))
                      for a, b in itertools.combinations_with_replacement(rows, 2))
         if closed:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,21 @@ def test_analyze_f64(write):
     assert doc["lambda"] == 2
     assert doc["census"] == {"inert": 4, "decomposed": 0, "ramified": 0}
     assert doc["nagata"]["cardinality"] == 4
+
+
+def test_analyze_over_the_largest_prime_field_stays_small(write, capsys):
+    """F_4093[Y]/(Y^2), 4093 being the largest prime the parser accepts: the
+    prime field holds no tables, so analyze peaks well under 32 MB."""
+    path = write({"field": {"p": 4093, "e": 1}, "algebra": {"poly_quotient": [0, 0, 1]}})
+    tracemalloc.start()
+    try:
+        code = main(["analyze", path, "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 32 * 2 ** 20
+    assert json.loads(capsys.readouterr().out)["interval"] == {"cardinality": 2, "length": 1}
 
 
 def test_exit_code_parse_error(tmp_path):

@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlat import gfq
+from ringlat.algebra import Algebra
 from ringlat.gfq import (
     GF,
     all_rref_matrices,
@@ -245,3 +247,151 @@ def test_subspace_enumeration_count(q, n):
     assert len(set(mats)) == len(mats)
     for m in mats:
         assert rref(F, m) == m
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against plain per-element references
+
+KERNEL_FIELDS = {q: GF(*prime_power(q)) for q in (2, 3, 5, 409, 4093, 4, 9)}
+PRIME_FIELDS = [F for F in KERNEL_FIELDS.values() if F.e == 1]
+
+
+def _ref_lincomb(F, coeffs, rows):
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        for k, x in enumerate(row):
+            acc[k] = F.add(acc[k], F.mul(c, x))
+    return tuple(acc)
+
+
+def _ref_rref(F, rows):
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = F.inv(mat[r][c])
+        mat[r] = [F.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return tuple(tuple(row) for row in mat[:r])
+
+
+def _ref_reduce(F, rows, vec):
+    v = list(vec)
+    for row in rows:
+        c = v[next(j for j, x in enumerate(row) if x)]
+        v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def _ref_product(F, table, u, v):
+    acc = [0] * len(u)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            for k, t in enumerate(table[i][j]):
+                acc[k] = F.add(acc[k], F.mul(F.mul(ui, vj), t))
+    return tuple(acc)
+
+
+@st.composite
+def kernel_fields(draw):
+    return KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+
+
+@st.composite
+def field_vectors(draw):
+    """A field, then vectors of one length over it, sparse or dense."""
+    F = draw(kernel_fields())
+    elem = st.one_of(st.just(0), st.just(1), st.integers(0, F.q - 1))
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[elem] * n), min_size=1, max_size=5))
+    return F, elem, rows
+
+
+@given(field_vectors(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lincomb_and_vector_ops_match_reference(fv, data):
+    F, elem, rows = fv
+    coeffs = data.draw(st.tuples(*[elem] * len(rows)))
+    assert gfq.lincomb(F, coeffs, rows) == _ref_lincomb(F, coeffs, rows)
+    u, v, c = rows[0], rows[-1], coeffs[0]
+    assert gfq.vadd(F, u, v) == _ref_lincomb(F, (1, 1), (u, v))
+    assert gfq.vsub(F, u, v) == _ref_lincomb(F, (1, F.neg(1)), (u, v))
+    assert gfq.vscale(F, c, u) == _ref_lincomb(F, (c,), (u,))
+
+
+@given(field_vectors(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rref_and_reduce_vec_match_reference(fv, data):
+    F, elem, rows = fv
+    red = rref(F, rows)
+    assert red == _ref_rref(F, rows)
+    vec = data.draw(st.tuples(*[elem] * len(rows[0])))
+    assert reduce_vec(F, red, vec) == _ref_reduce(F, red, vec)
+
+
+@given(kernel_fields(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_algebra_mul_matches_reference(F, data):
+    """Any structure constants will do: the product is bilinear in them."""
+    n = data.draw(st.integers(1, 4))
+    elem = st.one_of(st.just(0), st.just(1), st.integers(0, F.q - 1))
+    vec = st.tuples(*[elem] * n)
+    table = data.draw(st.tuples(*[st.tuples(*[vec] * n)] * n))
+    A = Algebra(F, table, (1,) + (0,) * (n - 1), check=False)
+    u, v = data.draw(vec), data.draw(vec)
+    assert A.mul(u, v) == _ref_product(F, table, u, v)
+
+
+@given(st.sampled_from(PRIME_FIELDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_prime_field_scalars_are_ints_mod_p(F, data):
+    p = F.p
+    a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    assert F.add(a, b) == (a + b) % p
+    assert F.sub(a, b) == (a - b) % p
+    assert F.neg(a) == -a % p
+    assert F.mul(a, b) == a * b % p
+    if a:
+        assert F.inv(a) == pow(a, -1, p)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(a)
+
+
+@pytest.mark.parametrize("p", [409, 4093])
+def test_field_axioms_sampled(p):
+    """The exhaustive test above loops over q**2 pairs; here 300 random triples."""
+    F = GF(p)
+    assert F.prime_field() is F and list(F.elements()) == list(range(p))
+    rng = random.Random(p)
+    for _ in range(300):
+        a, b, c = (rng.randrange(p) for _ in range(3))
+        assert F.add(a, 0) == a and F.mul(a, 1) == a
+        assert F.add(a, F.neg(a)) == 0 and F.sub(a, b) == F.add(a, F.neg(b))
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
+        assert F.add(a, b) == F.add(b, a) and F.mul(a, b) == F.mul(b, a)
+        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+def test_prime_field_allocates_no_tables():
+    """GF(p) stores no p x p tables: GF(4093) costs well under a megabyte."""
+    tracemalloc.start()
+    try:
+        F = GF(4093)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert F.mul(4092, 4092) == 1
+    with pytest.raises(ValueError, match="field size 4099 exceeds supported bound 4096"):
+        GF(4099)
