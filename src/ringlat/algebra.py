@@ -6,8 +6,11 @@ and ideals store their vectors in the coordinates of one fixed ambient
 Algebra, as canonical reduced-echelon bases, so equality and hashing are
 structural.  Every function that takes a ring takes a Subalgebra
 (``A.full()`` for the whole algebra); only :class:`Extension` also accepts
-an Algebra, as its top.  Quotients and idempotent factors are new Algebra
-objects connected to their source by explicit linear maps.
+an Algebra, as its top.  The local decomposition works in those same
+coordinates: ring/Nil is the set of normal forms modulo the nilradical, and
+each local factor is recorded by its idempotent and its dimension.
+Quotients, and the localizations of an extension, are new Algebra objects
+connected to their source by explicit linear maps.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -21,6 +24,7 @@ from . import gfq
 from .analysis import Analysis
 from .gfq import (
     GF,
+    complement_in,
     coords_in_rref,
     in_span,
     intersect_rowspaces,
@@ -464,10 +468,10 @@ def _unit(n, i):
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """One local factor of an Artinian ring."""
+    """One local factor e*ring of an Artinian ring, kept in ambient coordinates."""
 
     idempotent: tuple          # in ambient coordinates
-    factor: FactorMap          # the subspace e*ring with unit e
+    dim: int                   # GF(q)-dimension of the factor e*ring
     maximal_ideal: Ideal       # pulled back to the ring, ambient coordinates
     residue_degree: int        # GF(q)-dimension of the residue field
 
@@ -493,29 +497,35 @@ class LocalDecomposition:
         return len(self.factors) == 1
 
 
-def _primitive_idempotents(A, nil_rows):
-    """Primitive idempotents of the semisimple quotient, lifted exactly."""
+def _primitive_idempotents(ring, nil_rows):
+    """Primitive idempotents of a ring, in the coordinates of its ambient.
+
+    They are found in ring/Nil, whose elements are the normal forms modulo
+    the rref rows nil_rows of the nilradical, and lifted exactly to the ring.
+    """
+    A = ring.ambient
     F = A.field
-    qm = quotient(A, nil_rows) if nil_rows else None
-    Abar = qm.algebra if qm else A
+
+    def mul(u, v):
+        return reduce_vec(F, nil_rows, A.mul(u, v))
+
+    basis = complement_in(F, nil_rows, ring.basis)  # normal forms: a basis of ring/Nil
     # GF(q)-linear Frobenius-fixed subspace of the semisimple quotient
-    frob_rows = [vsub(F, Abar.pow(Abar.basis_vec(i), F.q), Abar.basis_vec(i))
-                 for i in range(Abar.dim)]
-    fixed = gfq.left_kernel(F, frob_rows)
-    idems = [Abar.one]
+    frob_rows = [vsub(F, reduce_vec(F, nil_rows, A.pow(b, F.q)), b) for b in basis]
+    fixed = [lincomb(F, x, basis) for x in gfq.left_kernel(F, frob_rows)]
+    idems = [reduce_vec(F, nil_rows, A.one)]
     for b in fixed:
         refined = []
         for e in idems:
-            refined.extend(_split_idempotent(Abar, e, Abar.mul(e, b)))
+            refined.extend(_split_idempotent(F, mul, e, mul(e, b)))
         idems = refined
     if len(idems) != len(fixed):
         raise InternalInvariantError(
             "idempotent-splitting-incomplete",
             f"expected {len(fixed)} primitive idempotents, found {len(idems)}")
-    # lift to A through Frobenius iteration; exact once the corrections vanish
+    # lift to the ring through Frobenius iteration; exact once the corrections vanish
     lifted = []
-    for e in idems:
-        x = qm.lift(e) if qm else e
+    for x in idems:
         while A.mul(x, x) != x:
             x = A.pow(x, F.q)
         lifted.append(x)
@@ -533,26 +543,25 @@ def _primitive_idempotents(A, nil_rows):
     return lifted
 
 
-def _split_idempotent(A, e, c):
-    """Split the idempotent e along c in e*A, via the minimal polynomial of c."""
-    F = A.field
+def _split_idempotent(F, mul, e, c):
+    """Split the idempotent e along c in the algebra with product mul, via the
+    minimal polynomial of c in e times that algebra."""
     powers = [e]
     cur = e
     while True:
-        cur = A.mul(cur, c)
+        cur = mul(cur, c)
         coeffs = gfq.express(F, powers, cur)
         if coeffs is not None:
             break
         powers.append(cur)
     deg = len(powers)
-    # c^deg = sum coeffs_i c^i; roots of the minimal polynomial in GF(q)
+    # roots in GF(q) of x^deg - sum coeffs_i x^i, one Horner pass per candidate
     roots = []
     for lam in F.elements():
-        acc = F.neg(_eval_dependency(F, coeffs, lam))
-        lam_pow = 1
-        for _ in range(deg):
-            lam_pow = F.mul(lam_pow, lam)
-        if F.add(lam_pow, acc) == 0:
+        acc = 1
+        for a in reversed(coeffs):
+            acc = F.sub(F.mul(acc, lam), a)
+        if acc == 0:
             roots.append(lam)
     if len(roots) != deg:
         raise InternalInvariantError(
@@ -567,24 +576,14 @@ def _split_idempotent(A, e, c):
         for mu in roots:
             if mu == lam:
                 continue
-            numer = A.mul(numer, vsub(F, c, vscale(F, mu, e)))
+            numer = mul(numer, vsub(F, c, vscale(F, mu, e)))
             denom = F.mul(denom, F.sub(lam, mu))
         e_lam = vscale(F, F.inv(denom), numer)
-        if A.mul(e_lam, e_lam) != e_lam:
+        if mul(e_lam, e_lam) != e_lam:
             raise InternalInvariantError("idempotent-split-failed",
                                          "interpolated element is not idempotent")
         out.append(e_lam)
     return out
-
-
-def _eval_dependency(F, coeffs, lam):
-    acc = 0
-    lam_pow = 1
-    for c in coeffs:
-        if c:
-            acc = F.add(acc, F.mul(c, lam_pow))
-        lam_pow = F.mul(lam_pow, lam)
-    return acc
 
 
 def local_decomposition(ring):
@@ -592,13 +591,9 @@ def local_decomposition(ring):
     A = ring.ambient
     F = A.field
     nil = nilradical(ring)
-    fmap = subspace_algebra(A, ring.basis, A.one)
-    idems = [fmap.embed(e) for e in
-             _primitive_idempotents(fmap.algebra, fmap.coords_rows(nil.basis))]
     factors = []
-    for e in idems:
-        e_rows = rref(F, [A.mul(e, r) for r in ring.basis])
-        factor = subspace_algebra(A, e_rows, e)
+    for e in _primitive_idempotents(ring, nil.basis):
+        dim = len(rref(F, [A.mul(e, r) for r in ring.basis]))
         # the nilradical of the factor e*ring is e times that of the ring
         fnil_dim = len(rref(F, [A.mul(e, v) for v in nil.basis]))
         one_minus_e = vsub(F, A.one, e)
@@ -606,11 +601,11 @@ def local_decomposition(ring):
                       + list(nil.basis))
         factors.append(LocalFactor(
             idempotent=e,
-            factor=factor,
+            dim=dim,
             maximal_ideal=Ideal(ring, m_rows),
-            residue_degree=factor.algebra.dim - fnil_dim,
+            residue_degree=dim - fnil_dim,
         ))
-    if sum(f.factor.algebra.dim for f in factors) != ring.dim:
+    if sum(f.dim for f in factors) != ring.dim:
         raise InternalInvariantError("local-factor-dims",
                                      "factor dimensions do not add up")
     return LocalDecomposition(ring=ring, factors=tuple(factors), nilradical=nil)

@@ -185,7 +185,6 @@ def random_extension(spec):
         ext, shape = _attempt(rng, field, spec.shape, spec.max_dim)
         if not _shape_ok(ext, shape):
             continue
-        ext.ambient.validate()
         emitted += 1
         yield ext
 

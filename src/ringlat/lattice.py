@@ -271,8 +271,9 @@ def maximal_chains(lat, limit=DEFAULT_BUDGET):
 def quotient_interval_check(ext, J_rows, an=None):
     """Compare [R+J, S] with [R/I, S/J] through the projection map.
 
-    Returns (ok, details): the map must be bijective, order-preserving and
-    order-reflecting.  Requires the top of ext to be its whole ambient.
+    Returns (ok, details): the map must be bijective and carry the cover
+    relation of [R+J, S] onto that of [R/I, S/J].  Requires the top of ext
+    to be its whole ambient.
     """
     from .algebra import quotient  # local import to avoid cycle at module load
 
@@ -288,16 +289,13 @@ def quotient_interval_check(ext, J_rows, an=None):
     r_bar = Subalgebra(qm.algebra, qm.project_rows(ext.bottom.basis), check=False)
     lat_down = an.lattice(Extension(r_bar))
     images = [qm.project_rows(node.basis) for node in lat_up.nodes]
-    down_set = {node.basis for node in lat_down.nodes}
-    ok = (len(set(images)) == len(images)
-          and set(images) == down_set)
+    down_index = {node.basis: k for k, node in enumerate(lat_down.nodes)}
+    ok = len(set(images)) == len(images) and set(images) == set(down_index)
     if ok:
-        for i, j in itertools.permutations(range(len(lat_up.nodes)), 2):
-            up_le = lat_up.leq(i, j)
-            down_le = gfq.contains_rows(F, images[j], images[i])
-            if up_le != down_le:
-                ok = False
-                break
+        # a bijection of finite posets is an isomorphism iff it maps covers onto covers
+        to_down = [down_index[b] for b in images]
+        ok = tuple(sorted((to_down[i], to_down[j]) for i, j in lat_up.covers)) \
+            == lat_down.covers
     return ok, {
         "upstairs": len(lat_up.nodes),
         "downstairs": len(lat_down.nodes),

@@ -150,7 +150,7 @@ def test_local_decomposition_invariants(F2, T44, F4alg):
     P = make_product(F4alg, make_poly_quotient(F2, (0, 0, 1)))
     dec = local_decomposition(P.full())
     assert sorted(f.residue_degree for f in dec.factors) == [1, 2]
-    assert sum(f.factor.algebra.dim for f in dec.factors) == P.dim
+    assert sum(f.dim for f in dec.factors) == P.dim
     for fa, fb in itertools.combinations(dec.factors, 2):
         assert P.mul(fa.idempotent, fb.idempotent) == P.zero
     total = P.zero
@@ -160,20 +160,59 @@ def test_local_decomposition_invariants(F2, T44, F4alg):
     assert total == P.one
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_idempotents_match_brute_force(seed):
-    from ringlat.gen import GenSpec, random_extension
+def _primitive_by_scan(ring):
+    """The minimal nonzero idempotents of ring, by exhaustive scan."""
+    A = ring.ambient
+    nonzero = [e for e in brute_force_idempotents(ring) if any(e)]
+    return sorted(e for e in nonzero
+                  if not any(A.mul(e, f) == f for f in nonzero if f != e))
 
-    spec = GenSpec(seed=seed, q=2, max_dim=5, shape="product-of-locals", count=2)
+
+IDEMPOTENT_CASES = ([pytest.param(seed, 2, id=str(seed)) for seed in range(4)]
+                    + [pytest.param(seed, q, id=f"q{q}-{seed}")
+                       for q in (3, 4) for seed in range(2)])
+
+
+@pytest.mark.parametrize("seed, q", IDEMPOTENT_CASES)
+def test_idempotents_match_brute_force(seed, q):
+    """On the whole ambient, its bottom ring and every ring between: the proper
+    subrings are where ambient coordinates are not the ring's own."""
+    from ringlat.gen import GenSpec, random_extension
+    from ringlat.lattice import enumerate_interval
+
+    spec = GenSpec(seed=seed, q=q, max_dim=5, shape="product-of-locals", count=2)
     for ext in random_extension(spec):
-        A = ext.ambient
-        dec = local_decomposition(A.full())
-        all_idems = brute_force_idempotents(A.full())
-        # primitive = minimal nonzero idempotents
-        nonzero = [e for e in all_idems if any(e)]
-        primitive = [e for e in nonzero
-                     if not any(A.mul(e, f) == f for f in nonzero if f != e)]
-        assert sorted(dec.idempotents) == sorted(primitive)
+        rings = {ext.top, ext.bottom, *enumerate_interval(ext).nodes}
+        for ring in rings:
+            if q ** ring.dim > 4096:
+                continue
+            dec = local_decomposition(ring)
+            assert sorted(dec.idempotents) == _primitive_by_scan(ring)
+            assert sum(f.dim for f in dec.factors) == ring.dim
+
+
+def test_local_decomposition_builds_no_algebra(monkeypatch):
+    """A GF(4) product with an inert, a ramified and a split factor, and a
+    proper subring of it, decompose without constructing any Algebra."""
+    F4 = GF(2, 2)
+    P = make_product(make_poly_quotient(F4, gfq.irreducible_poly(F4, 2)),
+                     make_poly_quotient(F4, (0, 0, 1)), base_algebra(F4))
+    R = generated_subalgebra(P, [(0, 0, 0, 1, 1)])
+    built = []
+    original = Algebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "__init__", counting_init)
+    dec_p = local_decomposition(P.full())
+    dec_r = local_decomposition(R)
+    assert built == []
+    assert sorted((f.dim, f.residue_degree) for f in dec_p.factors) == [
+        (1, 1), (2, 1), (2, 2)]
+    assert sorted(dec_p.idempotents) == _primitive_by_scan(P.full())
+    assert sorted(dec_r.idempotents) == _primitive_by_scan(R)
 
 
 def test_quotient_examples(F2, T44):

@@ -4,6 +4,7 @@ from ringlat.algebra import Extension, Subalgebra, generated_subalgebra, make_pr
 from ringlat.analysis import Analysis, BudgetExceeded
 from ringlat.gfq import GF
 from ringlat.lattice import (
+    ExtensionLattice,
     brute_force_interval,
     check_distributivity,
     enumerate_interval,
@@ -254,6 +255,20 @@ def test_quotient_interval_bijection(ext44):
     assert ok and detail["upstairs"] == detail["downstairs"]
     ok0, _ = quotient_interval_check(ext44, ())
     assert ok0
+
+
+def test_quotient_interval_check_compares_covers_not_containment(ext44, monkeypatch):
+    calls = []
+    original = ExtensionLattice.leq
+
+    def counting_leq(self, i, j):
+        calls.append((i, j))
+        return original(self, i, j)
+
+    monkeypatch.setattr(ExtensionLattice, "leq", counting_leq)
+    ok, detail = quotient_interval_check(ext44, [(0, 0, 0, 1)])
+    assert ok and detail == {"upstairs": 3, "downstairs": 3}
+    assert calls == []
 
 
 def test_dot_output_stable(ext44):
