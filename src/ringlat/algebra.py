@@ -8,9 +8,10 @@ structural.  Every function that takes a ring takes a Subalgebra
 (``A.full()`` for the whole algebra); only :class:`Extension` also accepts
 an Algebra, as its top.  The local decomposition works in those same
 coordinates: ring/Nil is the set of normal forms modulo the nilradical, and
-each local factor is recorded by its idempotent and its dimension.
-Quotients, and the localizations of an extension, are new Algebra objects
-connected to their source by explicit linear maps.
+each local factor is recorded by its idempotent and its dimension.  The
+localization of an extension at a maximal ideal is a subinterval of it, in
+the same ambient.  Only a quotient is a new Algebra, connected to its
+source by its projection.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -25,7 +26,6 @@ from .analysis import Analysis
 from .gfq import (
     GF,
     complement_in,
-    coords_in_rref,
     in_span,
     intersect_rowspaces,
     lincomb,
@@ -105,12 +105,20 @@ class Algebra:
         return gfq.algebra_product(self.field, self.table, u, v)
 
     def pow(self, u, k):
-        result = self.one
+        """u**k by binary powering from the lowest set bit of k:
+        bit_length(k) + popcount(k) - 2 products for k >= 1."""
+        if not k:
+            return self.one
         base = tuple(u)
+        while not k & 1:
+            base = self.mul(base, base)
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = self.mul(base, base)
             if k & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             k >>= 1
         return result
 
@@ -382,88 +390,40 @@ def nilradical(ring):
 
 
 @dataclass(frozen=True)
-class FactorMap:
-    """A subspace of an algebra carrying its own algebra structure."""
-
-    source: Algebra
-    algebra: Algebra
-    rows: tuple  # images of the factor basis in source coordinates
-
-    def embed(self, vec):
-        return lincomb(self.source.field, vec, self.rows)
-
-    def coords(self, vec):
-        c = coords_in_rref(self.source.field, self.rows, vec)
-        if c is None:
-            raise AlgebraError("vector outside the factor subspace")
-        return c
-
-    def coords_rows(self, rows):
-        return rref(self.algebra.field, [self.coords(r) for r in rows])
-
-
-def subspace_algebra(ambient, rows, unit):
-    """Algebra structure on a multiplicatively closed subspace with own unit."""
-    F = ambient.field
-    rows = rref(F, rows)
-    if not in_span(F, rows, unit):
-        raise AlgebraError("unit not inside the subspace")
-    for a, b in itertools.combinations_with_replacement(rows, 2):
-        if not in_span(F, rows, ambient.mul(a, b)):
-            raise AlgebraError("subspace not closed under multiplication")
-    for r in rows:
-        if ambient.mul(unit, r) != r:
-            raise AlgebraError("designated unit does not act as identity")
-    table = tuple(tuple(coords_in_rref(F, rows, ambient.mul(a, b)) for b in rows)
-                  for a in rows)
-    one = coords_in_rref(F, rows, tuple(unit))
-    alg = Algebra(F, table, one)
-    return FactorMap(ambient, alg, rows)
-
-
-@dataclass(frozen=True)
 class QuotientMap:
-    """Quotient algebra A/J with its projection and a linear section."""
+    """Quotient S/J of a ring by an ideal, with its projection."""
 
     source: Algebra
     algebra: Algebra
     ideal_rows: tuple
-    comp_coords: tuple  # source coordinates indexing the complement basis
+    comp_coords: tuple  # pivot columns of the quotient basis, in source coordinates
 
     def project(self, vec):
         w = reduce_vec(self.source.field, self.ideal_rows, vec)
         return tuple(w[c] for c in self.comp_coords)
 
-    def lift(self, vec):
-        v = [0] * self.source.dim
-        for c, x in zip(self.comp_coords, vec):
-            v[c] = x
-        return tuple(v)
-
     def project_rows(self, rows):
         return rref(self.algebra.field, [self.project(r) for r in rows])
 
 
-def quotient(A, J):
-    """Quotient of an Algebra by a proper ideal given by rows, with projection maps."""
-    rows = rref(A.field, J)
-    Ideal(A.full(), rows)  # validates J is an ideal of A
-    if in_span(A.field, rows, A.one):
+def quotient(S, J):
+    """Quotient of a ring by a proper ideal given by rows, with its projection.
+
+    The quotient's basis is the rref of the normal forms of S modulo J, so a
+    normal form's coordinates are its entries at their pivot columns; for
+    S = A.full() that basis is the unit vectors off the pivots of J.
+    """
+    A = S.ambient
+    F = A.field
+    rows = rref(F, J)
+    Ideal(S, rows)  # validates J is an ideal of S
+    if in_span(F, rows, A.one):
         raise AlgebraError("improper ideal: the unit maps to zero")
-    piv = set(gfq.pivots_of(rows))
-    comp = tuple(c for c in range(A.dim) if c not in piv)
-    qm = QuotientMap(A, None, rows, comp)
-    table = tuple(tuple(qm.project(A.mul(qm.lift(_unit(len(comp), i)),
-                                         qm.lift(_unit(len(comp), j))))
-                        for j in range(len(comp)))
-                  for i in range(len(comp)))
-    one = qm.project(A.one)
-    alg = Algebra(A.field, table, one)
-    return QuotientMap(A, alg, rows, comp)
-
-
-def _unit(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
+    basis = rref(F, [reduce_vec(F, rows, s) for s in S.basis])
+    qm = QuotientMap(A, None, rows, gfq.pivots_of(basis))
+    table = tuple(tuple(qm.project(A.mul(a, b)) for b in basis) for a in basis)
+    alg = Algebra(F, table, qm.project(A.one))
+    return QuotientMap(A, alg, rows, qm.comp_coords)
 
 
 @dataclass(frozen=True)
@@ -628,25 +588,23 @@ def brute_force_idempotents(ring, budget=4096):
 
 
 def localize_extension(ext, M, an=None):
-    """Localize R <= S at a maximal ideal M of R (idempotent projection).
+    """Localize R <= S at a maximal ideal M of R, as a subinterval of [R, S].
 
-    Returns (localized extension, factor map); the map is None, and the
-    extension ext itself, when R is local.
+    With e the idempotent of M, the localization is [R + (1-e)S, S]:
+    T -> eT maps it onto [eR, eS] = [R_M, S_M], keeping the order and the
+    closures.  It lives in the ambient of ext, and is ext itself when R is
+    local.
     """
     R, S, A = ext.bottom, ext.top, ext.ambient
-    F = A.field
     dec = (an or Analysis()).decomposition(R)
     match = [f for f in dec.factors if f.maximal_ideal == M]
     if not match:
         raise AlgebraError("not a maximal ideal of the bottom ring")
     if dec.is_local:
-        return ext, None
-    e = match[0].idempotent
-    s_rows = rref(F, [A.mul(e, s) for s in S.basis])
-    fac = subspace_algebra(A, s_rows, e)
-    r_rows = fac.coords_rows([A.mul(e, r) for r in R.basis])
-    loc = Extension(Subalgebra(fac.algebra, r_rows, check=False))
-    return loc, fac
+        return ext
+    one_minus_e = vsub(A.field, A.one, match[0].idempotent)
+    rest = [A.mul(one_minus_e, s) for s in S.basis]
+    return Extension(Subalgebra(A, R.basis + tuple(rest), check=False), S)
 
 
 def support(ext, an=None):

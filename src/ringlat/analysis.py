@@ -10,12 +10,13 @@ charges nothing.
 
 An :class:`Analysis` also memoizes by value (a ring is its ambient algebra
 and its canonical basis, so equal rings share one entry) the lattice of each
-interval, the local decomposition of each ring, the localization of each
-pair at each maximal ideal of its bottom, the canonical decomposition and
-t-closedness test of each interval, and the minimal-step kind and crucial
-ideal of each cover edge T < U.  The cache lives as long as the object: the
-CLI makes one per command, and a library function called without one makes
-a fresh one, so a direct call computes everything for real.  The public
+interval, the local decomposition of each ring, the canonical decomposition
+and t-closedness test of each interval, and the minimal-step kind and
+crucial ideal of each cover edge T < U.  A localization is a subinterval
+of its pair, cheap to rebuild, whose lattice the interval memo shares.  The
+cache lives as long as the object: the CLI makes one per command, and a
+library function called without one makes a fresh one, so a direct call
+computes everything for real.  The public
 functions behind the cache always compute; only the methods here look a
 result up first.  They import those functions when called, because their
 modules import this one.
@@ -67,11 +68,6 @@ class Analysis:
         """The local decomposition of a ring, with its nilradical."""
         from .algebra import local_decomposition
         return self._fact(("decomposition", ring), lambda: local_decomposition(ring))
-
-    def localization(self, ext, M):
-        """(localized extension, factor map or None if the bottom is local) at M."""
-        from .algebra import localize_extension
-        return self._fact(("localization", ext, M), lambda: localize_extension(ext, M, an=self))
 
     def canonical(self, ext):
         """The canonical decomposition R <= +R <= tR <= S of ext."""

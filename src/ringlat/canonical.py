@@ -23,6 +23,7 @@ from .algebra import (
     Subalgebra,
     conductor,
     intersect_with,
+    localize_extension,
     support,
 )
 from .analysis import Analysis
@@ -308,8 +309,7 @@ def lambda_crosscheck(ext, an=None):
         msupp = len(supp)
         localized = []
         for M in supp:
-            loc, _ = an.localization(ext, M)
-            localized.append(interval_length(an.lattice(loc)))
+            localized.append(interval_length(an.lattice(localize_extension(ext, M, an))))
         localized_sup = max(localized, default=0)
         bound_ok = interval_length(an.lattice(ext)) <= msupp * value
     return LambdaCrossCheck(value, after, localized_sup, msupp, bound_ok)

@@ -349,14 +349,6 @@ def in_span(field, rows, vec):
     return not any(reduce_vec(field, rows, vec))
 
 
-def coords_in_rref(field, rows, vec):
-    """Coefficients of vec over rref rows, or None if outside the span."""
-    coeffs = tuple(vec[p] for p in pivots_of(rows))
-    if any(reduce_vec(field, rows, vec)):
-        return None
-    return coeffs
-
-
 def contains_rows(field, rows, other_rows):
     return all(in_span(field, rows, v) for v in other_rows)
 

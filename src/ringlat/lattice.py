@@ -25,6 +25,8 @@ from .algebra import (
     Extension,
     Subalgebra,
     generated_subalgebra,
+    localize_extension,
+    quotient,
     support,
 )
 from .analysis import DEFAULT_BUDGET, Analysis
@@ -176,33 +178,19 @@ class ArithmeticWitness:
 
 
 def is_arithmetic(ext, an=None):
-    """Chainedness of every localization; returns (bool, failure witnesses)."""
+    """Chainedness of every localization; returns (bool, failure witnesses).
+
+    A localization is a subinterval of [R, S], so a witness pair is two
+    incomparable nodes of it as they stand.
+    """
     an = an or Analysis()
     failures = []
     for M in support(ext, an):
-        loc, fac = an.localization(ext, M)
-        loc_lat = an.lattice(loc)
-        if is_chained(loc_lat):
-            continue
-        pair = first_incomparable_pair(loc_lat)
-        failures.append(ArithmeticWitness(
-            maximal_ideal=M,
-            pair=tuple(_pull_back_node(ext, fac, t) for t in pair),
-        ))
+        loc_lat = an.lattice(localize_extension(ext, M, an))
+        if not is_chained(loc_lat):
+            failures.append(ArithmeticWitness(maximal_ideal=M,
+                                              pair=first_incomparable_pair(loc_lat)))
     return not failures, tuple(failures)
-
-
-def _pull_back_node(ext, fac, node):
-    """Preimage in [R, S] of a node of a localized interval."""
-    if fac is None:
-        return node
-    A = ext.ambient
-    F = A.field
-    e = fac.embed(fac.algebra.one)
-    one_minus_e = gfq.vsub(F, A.one, e)
-    rest = [A.mul(one_minus_e, s) for s in ext.top.basis]
-    rows = rref(F, [fac.embed(v) for v in node.basis] + rest)
-    return Subalgebra(A, rows, check=False)
 
 
 def is_pinched_at(lat, node):
@@ -271,21 +259,16 @@ def maximal_chains(lat, limit=DEFAULT_BUDGET):
 def quotient_interval_check(ext, J_rows, an=None):
     """Compare [R+J, S] with [R/I, S/J] through the projection map.
 
-    Returns (ok, details): the map must be bijective and carry the cover
-    relation of [R+J, S] onto that of [R/I, S/J].  Requires the top of ext
-    to be its whole ambient.
+    J is an ideal of the top ring S, given by rows, and I = R ∩ J.  Returns
+    (ok, details): the map must be bijective and carry the cover relation
+    of [R+J, S] onto that of [R/I, S/J].
     """
-    from .algebra import quotient  # local import to avoid cycle at module load
-
     an = an or Analysis()
     A = ext.ambient
-    F = A.field
-    if ext.top != A.full():
-        raise AlgebraError("quotient comparison requires a full-top extension")
-    J_rows = rref(F, J_rows)
+    J_rows = rref(A.field, J_rows)
     r_plus_j = Subalgebra(A, ext.bottom.basis + J_rows, check=False)
     lat_up = an.lattice(Extension(r_plus_j, ext.top))
-    qm = quotient(A, J_rows)
+    qm = quotient(ext.top, J_rows)
     r_bar = Subalgebra(qm.algebra, qm.project_rows(ext.bottom.basis), check=False)
     lat_down = an.lattice(Extension(r_bar))
     images = [qm.project_rows(node.basis) for node in lat_up.nodes]

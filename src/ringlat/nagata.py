@@ -18,9 +18,9 @@ from .algebra import (
     Subalgebra,
     conductor,
     ideal_power_rows,
+    localize_extension,
     module_length,
     quotient,
-    subspace_algebra,
     support,
 )
 from .analysis import Analysis
@@ -37,18 +37,8 @@ TRANSFER_NOTES = {
 }
 
 
-def _full_ambient(ext):
-    """Re-root an extension so that its top is a whole ambient algebra."""
-    if ext.top == ext.ambient.full():
-        return ext
-    fac = subspace_algebra(ext.ambient, ext.top.basis, ext.ambient.one)
-    rows = fac.coords_rows(ext.bottom.basis)
-    return Extension(Subalgebra(fac.algebra, rows, check=False))
-
-
 def nilpotency_index(ext, an=None):
     """Smallest n >= 1 with M**n inside the conductor, for local R."""
-    ext = _full_ambient(ext)
     R, A = ext.bottom, ext.ambient
     dec = (an or Analysis()).decomposition(R)
     if not dec.is_local:
@@ -70,6 +60,7 @@ class SubintegralLocalData:
     """Conductor-reduced filtration data of a local subintegral pair."""
 
     reduced: Extension          # the pair mod its conductor, in a fresh ambient
+                                # unless the conductor is zero
     maximal_ideal_rows: tuple   # M of the reduced bottom ring
     conductor_dim: int          # dimension of the conductor that was removed
     n: int                      # index of nilpotency of M in the reduced ring
@@ -85,26 +76,31 @@ class SubintegralLocalData:
 
 
 def filtration_data(ext, an=None):
-    """Reduce mod the conductor and build the filtration of a local pair."""
+    """Reduce a subintegral pair mod its conductor, and build the filtration
+    of the reduced pair, whose bottom must be local.
+
+    A localization [R + (1-e)S, S] qualifies: its conductor contains (1-e)S,
+    so it reduces to the localized pair mod the conductor.
+    """
     an = an or Analysis()
-    ext = _full_ambient(ext)
-    R, S, A = ext.bottom, ext.top, ext.ambient
-    if not an.decomposition(R).is_local:
-        raise AlgebraError("filtration data requires a local bottom ring")
+    R, S = ext.bottom, ext.top
     if not is_subintegral(ext, an):
         raise AlgebraError("filtration data requires a subintegral pair")
     C = conductor(R, S)
     if C.dim:
-        qm = quotient(A, C.basis)
+        qm = quotient(S, C.basis)
         A2 = qm.algebra
         R2 = Subalgebra(A2, qm.project_rows(R.basis), check=False)
         red = Extension(R2)
     else:
         red = ext
-        A2, R2 = A, R
+        A2, R2 = ext.ambient, R
     if conductor(R2, red.top).dim:
         raise AlgebraError("conductor did not reduce to zero")
-    M_rows = an.decomposition(R2).factors[0].maximal_ideal.basis
+    dec = an.decomposition(R2)
+    if not dec.is_local:
+        raise AlgebraError("filtration data requires a bottom ring local mod its conductor")
+    M_rows = dec.factors[0].maximal_ideal.basis
     n = nilpotency_index(red, an)
     F = A2.field
     s_basis = red.top.basis
@@ -192,8 +188,7 @@ def fip_subintegral_crosscheck(ext, an=None):
     verdict_a, _ = is_arithmetic(ext, an)
     verdict_b = True
     for M in support(ext, an):
-        loc, _ = an.localization(ext, M)
-        data = filtration_data(loc, an)
+        data = filtration_data(localize_extension(ext, M, an), an)
         if data.residue_is_field:
             ok = is_chained(an.lattice(data.reduced))
         else:

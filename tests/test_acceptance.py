@@ -204,7 +204,7 @@ def test_criterion_6_lambda_consistency(mixed_campaign):
         if tcl == ext.bottom and not ext.is_trivial:  # t-closed instance
             supp = support(ext)
             localized = [
-                interval_length(enumerate_interval(localize_extension(ext, M)[0]))
+                interval_length(enumerate_interval(localize_extension(ext, M)))
                 for M in supp]
             assert lambda_invariant(ext) == max(localized, default=0)
             assert interval_length(lat) <= len(supp) * lambda_invariant(ext)

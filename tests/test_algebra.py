@@ -216,12 +216,17 @@ def test_local_decomposition_builds_no_algebra(monkeypatch):
 
 
 def test_quotient_examples(F2, T44):
-    qm = quotient(T44, [(0, 0, 0, 1)])
+    qm = quotient(T44.full(), [(0, 0, 0, 1)])
     assert qm.algebra.same_table(make_poly_quotient(F2, (0, 0, 0, 1)))
-    qm0 = quotient(T44, ())
+    qm0 = quotient(T44.full(), ())
     assert qm0.algebra.same_table(T44)
     with pytest.raises(AlgebraError):
-        quotient(T44, T44.full().basis)
+        quotient(T44.full(), T44.full().basis)
+    # a proper subring: GF(2)[y^2] modulo y^2 is GF(2)
+    even = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    qm_even = quotient(even, [(0, 0, 1, 0)])
+    assert qm_even.algebra.same_table(base_algebra(F2))
+    assert qm_even.project_rows(even.basis) == ((1,),)
     # projection is a ring map
     for u in [T44.basis_vec(1), T44.basis_vec(2)]:
         for v in [T44.basis_vec(1), T44.one]:
@@ -255,15 +260,48 @@ def test_module_length_rejects_unstable(F2, T44):
         module_length(R, ((0, 1, 0, 0),), ())  # y alone is not R-stable
 
 
-def test_localize_extension(ext_f2xf4):
+def test_localize_extension(ext_f2xf4, F2, F4alg, monkeypatch):
+    """The localization at M is the subinterval of [R, S] of the nodes N
+    with (1-e)N = (1-e)S, in the same ambient, and building it constructs
+    no Algebra."""
+    from ringlat.analysis import Analysis
+    from ringlat.lattice import enumerate_interval
+
+    S = make_product(make_poly_quotient(F2, (0, 0, 0, 1)), F4alg)
+    ext = Extension(generated_subalgebra(S, [(1, 0, 0, 0, 0)]), S)  # F2 x F2
+    A, F = ext.ambient, ext.ambient.field
+    an = Analysis()
+    dec = an.decomposition(ext.bottom)
+    nodes = enumerate_interval(ext).nodes
+    built = []
+    original = Algebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "__init__", counting_init)
+    locs = [localize_extension(ext, f.maximal_ideal, an) for f in dec.factors]
+    assert built == []
+    monkeypatch.undo()
+    sizes = []
+    for f, loc in zip(dec.factors, locs):
+        assert loc.ambient is A and loc.top == ext.top
+        one_minus_e = gfq.vsub(F, A.one, f.idempotent)
+
+        def rest(ring):
+            return rref(F, [A.mul(one_minus_e, v) for v in ring.basis])
+
+        expected = {n for n in nodes if rest(n) == rest(ext.top)}
+        assert set(enumerate_interval(loc).nodes) == expected
+        sizes.append(len(expected))
+    assert len(nodes) == 6 and sorted(sizes) == [2, 3]  # [F2, F2[Y]/(Y^3)] x [F2, F4]
+    # F2 x F2 <= F2 x F4 localizes to itself at its support, trivially elsewhere
     supp = support(ext_f2xf4)
-    assert len(supp) == 1
-    loc, _ = localize_extension(ext_f2xf4, supp[0])
-    assert loc.ambient.dim == 2 and loc.bottom.dim == 1
-    dec = local_decomposition(ext_f2xf4.bottom)
-    other = [m for m in dec.maximal_ideals if m != supp[0]][0]
-    triv, _ = localize_extension(ext_f2xf4, other)
-    assert triv.ambient.dim == 1
+    assert len(supp) == 1 and localize_extension(ext_f2xf4, supp[0]) == ext_f2xf4
+    other = [m for m in local_decomposition(ext_f2xf4.bottom).maximal_ideals
+             if m != supp[0]][0]
+    assert localize_extension(ext_f2xf4, other).is_trivial
     with pytest.raises(AlgebraError):
         bad = Ideal(ext_f2xf4.bottom, ())
         localize_extension(ext_f2xf4, bad)
@@ -271,8 +309,29 @@ def test_localize_extension(ext_f2xf4):
 
 def test_localize_local_ring_is_identity(ext44):
     M = local_decomposition(ext44.bottom).factors[0].maximal_ideal
-    loc, fac = localize_extension(ext44, M)
-    assert loc is ext44 and fac is None
+    assert localize_extension(ext44, M) is ext44
+
+
+def test_pow_products_and_values(F3):
+    """u**k takes bit_length(k) + popcount(k) - 2 products for k >= 1, and
+    agrees with repeated multiplication."""
+    A = make_poly_quotient(F3, (1, 2, 0, 1, 1))  # Y^4 + Y^3 + 2Y + 1
+    u = (2, 1, 0, 1)
+    products = []
+    original = Algebra.mul
+
+    class Counting(Algebra):
+        def mul(self, a, b):
+            products.append(1)
+            return original(self, a, b)
+
+    counting = Counting(A.field, A.table, A.one)
+    expected = A.one
+    for k in range(21):
+        products.clear()
+        assert counting.pow(u, k) == expected
+        assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
+        expected = A.mul(expected, u)
 
 
 def test_localization_reconstructs_dimensions(ext_f2xf4):

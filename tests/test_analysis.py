@@ -70,8 +70,6 @@ def test_facts_are_shared_within_one_analysis(ext44):
     assert an.lattice(ext44) is an.lattice(same)
     assert an.decomposition(ext44.top) is an.decomposition(A.full())
     assert an.canonical(ext44) is an.canonical(same)
-    M = algebra.support(ext44, an)[0]
-    assert an.localization(ext44, M) is an.localization(same, M)
 
 
 def test_a_fresh_analysis_computes_again(ext44):

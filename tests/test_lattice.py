@@ -250,11 +250,16 @@ def test_maximal_chains_consistent_with_length(ext44):
     assert max(len(c.nodes) - 1 for c in chains) == interval_length(lat)
 
 
-def test_quotient_interval_bijection(ext44):
+def test_quotient_interval_bijection(ext44, deep_local_ext):
     ok, detail = quotient_interval_check(ext44, [(0, 0, 0, 1)])
     assert ok and detail["upstairs"] == detail["downstairs"]
     ok0, _ = quotient_interval_check(ext44, ())
     assert ok0
+    # a proper subring top: GF(2) <= GF(2)[s^2] inside GF(2)[s]/(s^5), modulo s^4
+    S = deep_local_ext.ambient
+    ext = Extension(generated_subalgebra(S, []), deep_local_ext.bottom)
+    ok, detail = quotient_interval_check(ext, [(0, 0, 0, 0, 1)])
+    assert ok and detail == {"upstairs": 2, "downstairs": 2}
 
 
 def test_quotient_interval_check_compares_covers_not_containment(ext44, monkeypatch):
@@ -310,3 +315,43 @@ def test_order_reads_make_no_containment_test(monkeypatch, name):
     assert all(lat.up(i) or i == lat.top for i in range(len(lat.nodes)))
     assert not is_chained(lat)
     assert calls == []
+
+
+PRODUCT_SPLIT_CASES = [pytest.param(q, seed, id=f"q{q}-{seed}")
+                       for q in (2, 3, 4) for seed in range(3)]
+
+
+@pytest.mark.parametrize("q, seed", PRODUCT_SPLIT_CASES)
+def test_product_split(q, seed):
+    """[R1 x R2, S1 x S2] = [R1, S1] x [R2, S2] for local nontrivial pairs
+    (Dobbs-Picavet-Picavet-L'Hermitte 2012): both maximal ideals are in the
+    support, sizes multiply, lengths add, and the localization at the
+    maximal ideal of each factor is that factor's interval."""
+    from ringlat.algebra import localize_extension, support
+    from ringlat.gen import GenSpec, random_extension
+    from ringlat.gfq import zero_vec
+
+    local = list(random_extension(GenSpec(seed=seed, q=q, max_dim=3,
+                                          shape="local-subintegral", count=6)))
+    fields = random_extension(GenSpec(seed=seed, q=q, max_dim=3, shape="field-tower",
+                                      count=3))
+    for e1, e2 in [*zip(local[::2], local[1::2]), *zip(local, fields)]:
+        S = make_product(e1.ambient, e2.ambient)
+        n1, n2 = e1.ambient.dim, e2.ambient.dim
+        R = Subalgebra(S, [r + zero_vec(n2) for r in e1.bottom.basis]
+                       + [zero_vec(n1) + r for r in e2.bottom.basis])
+        ext = Extension(R, S)
+        an = Analysis()
+        lat, lat1, lat2 = (enumerate_interval(e) for e in (ext, e1, e2))
+        assert len(lat.nodes) == len(lat1.nodes) * len(lat2.nodes)
+        assert interval_length(lat) == interval_length(lat1) + interval_length(lat2)
+        supp = support(ext, an)
+        assert len(supp) == 2
+        first = e1.ambient.one + zero_vec(n2)
+        for M in supp:
+            (e,) = [f.idempotent for f in an.decomposition(R).factors
+                    if f.maximal_ideal == M]
+            part = lat1 if e == first else lat2
+            loc_lat = enumerate_interval(localize_extension(ext, M, an))
+            assert len(loc_lat.nodes) == len(part.nodes)
+            assert interval_length(loc_lat) == interval_length(part)

@@ -140,7 +140,7 @@ def test_report_stable_under_conductor_reduction(deep_local_ext):
 
     ext = deep_local_ext
     C = conductor(ext.bottom, ext.top)
-    qm = quotient(ext.ambient, C.basis)
+    qm = quotient(ext.top, C.basis)
     R2 = Subalgebra(qm.algebra, qm.project_rows(ext.bottom.basis), check=False)
     reduced = Extension(R2)
     a, b = nagata_report(ext), nagata_report(reduced)
