@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from . import gfq
 from .analysis import Analysis
 from .gfq import (
-    GF,
     complement_in,
     in_span,
     intersect_rowspaces,
@@ -297,23 +296,23 @@ def make_product(*algebras):
 
 
 def generated_subalgebra(ambient, gens, seed=None):
-    """Smallest subalgebra containing the seed, the unit and the generators."""
+    """Smallest subalgebra containing the seed, the unit and the generators.
+
+    The seed must be a ring T, GF(q)*1 if left out.  Generators are adjoined
+    one at a time: T[c] = sum_k c**k T, as (c**i t)(c**j t') = c**(i+j) tt',
+    is the span of T made stable under c.  Each round multiplies by c only
+    the rows the last one added: exactly dim T[c] products per generator.
+    """
     F = ambient.field
-    rows = [ambient.one]
-    if seed is not None:
-        rows.extend(seed.basis)
+    rows = list(seed.basis if seed is not None else rref(F, [ambient.one]))
     for g in gens:
         if len(g) != ambient.dim:
             raise AlgebraError("generator has wrong coordinate length")
-        rows.append(tuple(g))
-    rows = rref(F, rows)
-    while True:
-        prods = [ambient.mul(a, b)
-                 for a, b in itertools.combinations_with_replacement(rows, 2)]
-        new = rref(F, tuple(rows) + tuple(prods))
-        if len(new) == len(rows):
-            return Subalgebra(ambient, rows, check=False)
-        rows = new
+        frontier = list(rows)
+        while frontier:
+            frontier = [red for t in frontier
+                        if (red := gfq.reduce_insert(F, rows, ambient.mul(g, t))) is not None]
+    return Subalgebra(ambient, rows, check=False)
 
 
 # ---------------------------------------------------------------------------

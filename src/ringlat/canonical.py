@@ -81,12 +81,12 @@ def classify_minimal(T, U, an=None):
     # ramified: a square-zero prime strictly above M, doubled residue on U/M
     for f in max_u:
         Q = f.maximal_ideal
-        square = rref(F, [A.mul(a, b) for a in Q.basis for b in Q.basis])
-        if (gfq.contains_rows(F, M.basis, square)
-                and gfq.contains_rows(F, Q.basis, M.basis)
-                and Q.dim > M.dim
+        square = (A.mul(a, b) for a, b in itertools.combinations_with_replacement(Q.basis, 2))
+        if (Q.dim > M.dim
                 and U.dim - M.dim == 2 * res_t
-                and res_u[Q] == res_t):
+                and res_u[Q] == res_t
+                and gfq.contains_rows(F, Q.basis, M.basis)
+                and gfq.contains_rows(F, M.basis, square)):
             matches.append(MinimalKind(RAMIFIED, M, (Q,), (1,)))
     if len(matches) != 1:
         raise InternalInvariantError(

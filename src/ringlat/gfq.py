@@ -9,9 +9,10 @@ A prime field (e = 1) stores nothing: its elements are ints mod p and every
 operation reduces mod p.  An extension field (e > 1) builds q x q add and
 mul tables once.  Only this module knows which of the two a field is.  The
 vector kernels (`lincomb`, `vadd`, `vsub`, `vscale`, `algebra_product`) and
-the eliminations built on them (`rref`, `reduce_vec`) choose once per call,
-not once per entry: over a prime field they compute with plain ints and
-reduce mod p, over an extension field they index local table rows.
+the eliminations built on them (`rref`, `reduce_vec`, and `reduce_insert`,
+which grows an rref basis one vector at a time) choose once per call, not
+once per entry: over a prime field they compute with plain ints and reduce
+mod p, over an extension field they index local table rows.
 """
 
 from __future__ import annotations
@@ -397,16 +398,26 @@ def intersect_rowspaces(field, rows_a, rows_b, ncols):
     return rref(field, out)
 
 
+def reduce_insert(field, rows, vec):
+    """Normal form of vec modulo rows, a list of rref rows, or None if it is 0.
+    A nonzero normal form joins rows in place, which stay in rref."""
+    red = reduce_vec(field, rows, vec)
+    lead = next((j for j, x in enumerate(red) if x), None)
+    if lead is None:
+        return None
+    new = red if red[lead] == 1 else vscale(field, field.inv(red[lead]), red)
+    for i, row in enumerate(rows):
+        if row[lead]:
+            rows[i] = _sub_scaled(field, row, row[lead], new)
+    rows.insert(sum(row.index(1) < lead for row in rows), new)
+    return red
+
+
 def complement_in(field, sub_rows, sup_rows):
-    """Vectors extending sub_rows to a basis of the space of sup_rows."""
+    """Vectors extending the rref sub_rows to a basis of the space of sup_rows."""
     cur = list(sub_rows)
-    out = []
-    for row in sup_rows:
-        red = reduce_vec(field, cur, row)
-        if any(red):
-            out.append(red)
-            cur = list(rref(field, cur + [red]))
-    return tuple(out)
+    return tuple(red for row in sup_rows
+                 if (red := reduce_insert(field, cur, row)) is not None)
 
 
 def span_vectors(field, rows):

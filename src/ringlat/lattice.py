@@ -2,15 +2,15 @@
 
 Enumeration is a breadth-first closure: from each known intermediate ring T,
 adjoin one vector c of each GF(q)-line of a complement C of T in the top ring
-and close under multiplication, (q**codim - 1) / (q - 1) closures per node.
-Completeness follows because any strictly larger intermediate ring contains
-some T[c], and T[c] = T[ac] for every nonzero scalar a.  The closures also
-give the covers: X covers T iff (q**(dim X - dim T) - 1) / (q - 1) of them,
-one per line of X ∩ C, give X, because X = T + (X ∩ C) and a ring strictly
-between T and X takes the lines it contains.  A brute-force scan over all
-subspaces serves as an independent oracle.  Both charge their analysis
-before they work: one unit per line vector of each node expanded, or per
-subspace to be scanned.
+and close under multiplication, (q**codim - 1) / (q - 1) closures per node,
+each T[c] costing dim T[c] products (`generated_subalgebra`).  Completeness
+follows because any strictly larger intermediate ring contains some T[c], and
+T[c] = T[ac] for every nonzero scalar a.  The closures also give the covers:
+X covers T iff (q**(dim X - dim T) - 1) / (q - 1) of them, one per line of
+X ∩ C, give X, because X = T + (X ∩ C) and a ring strictly between T and X
+takes the lines it contains.  A brute-force scan over all subspaces serves as
+an independent oracle.  Both charge their analysis before they work: one unit
+per line vector of each node expanded, or per subspace to be scanned.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .algebra import (
     Extension,
     Subalgebra,
     generated_subalgebra,
+    ideal_mul_rows,
     localize_extension,
     quotient,
     support,
@@ -205,15 +206,15 @@ def module_sum_rows(lat, i, j):
 
 
 def compositum_rows(lat, i, j):
-    A = lat.ext.ambient
-    return rref(A.field, [A.mul(a, b) for a in lat.nodes[i].basis
-                          for b in lat.nodes[j].basis])
+    return ideal_mul_rows(lat.ext.ambient, lat.nodes[i].basis, lat.nodes[j].basis)
 
 
 def is_delta_extension(lat):
-    """True iff the module sum of any two nodes equals their compositum."""
-    for i, j in itertools.combinations_with_replacement(range(len(lat.nodes)), 2):
-        if module_sum_rows(lat, i, j) != compositum_rows(lat, i, j):
+    """True iff the module sum of any two nodes equals their compositum: the
+    sum contains 1 and lies in the compositum, so iff its basis is a node's."""
+    bases = {node.basis for node in lat.nodes}
+    for i, j in itertools.combinations(range(len(lat.nodes)), 2):
+        if module_sum_rows(lat, i, j) not in bases:
             return False, (lat.nodes[i], lat.nodes[j])
     return True, None
 

@@ -81,6 +81,76 @@ def test_generated_subalgebra(T44):
     assert generated_subalgebra(T44, [T44.basis_vec(1)]).dim == 4
 
 
+def all_pairs_closure(ambient, gens, seed=None):
+    """Reference closure: the unit, the seed and the generators, with the
+    products of all pairs of rows added until a round adds nothing."""
+    F = ambient.field
+    seed_rows = seed.basis if seed is not None else ()
+    rows = rref(F, [ambient.one, *seed_rows, *map(tuple, gens)])
+    while True:
+        prods = [ambient.mul(a, b) for a, b in itertools.combinations_with_replacement(rows, 2)]
+        new = rref(F, rows + tuple(prods))
+        if len(new) == len(rows):
+            return Subalgebra(ambient, rows, check=False)
+        rows = new
+
+
+def _seeded_closures(monkeypatch, q, max_dim):
+    """(ambient, gens, seed) of every closure that gen makes for the bottoms
+    of ten seeded mixed instances over GF(q), and of every (node, line)
+    closure that enumerating those instances makes."""
+    from ringlat import gen
+    from ringlat.lattice import enumerate_interval
+
+    calls = []
+
+    def recording(ambient, gens, seed=None):
+        calls.append((ambient, [tuple(g) for g in gens], seed))
+        return generated_subalgebra(ambient, gens, seed=seed)
+
+    monkeypatch.setattr(gen, "generated_subalgebra", recording)
+    exts = list(gen.random_extension(gen.GenSpec(seed=q, q=q, max_dim=max_dim, count=10)))
+    monkeypatch.undo()
+    assert any(len(gens) > 1 for _, gens, _ in calls)
+    for ext in exts:
+        F = ext.ambient.field
+        for node in enumerate_interval(ext).nodes:
+            comp = gfq.complement_in(F, node.basis, ext.top.basis)
+            calls.extend((ext.ambient, [c], node) for c in gfq.line_vectors(F, comp))
+    return calls
+
+
+@pytest.mark.parametrize("q,max_dim", [(2, 5), (3, 5), (4, 4), (9, 4)])
+def test_closure_matches_all_pairs_reference(monkeypatch, q, max_dim):
+    for ambient, gens, seed in _seeded_closures(monkeypatch, q, max_dim):
+        assert generated_subalgebra(ambient, gens, seed=seed) \
+            == all_pairs_closure(ambient, gens, seed)
+
+
+@pytest.mark.parametrize("q,max_dim", [(2, 5), (4, 4), (9, 4)])
+def test_closure_makes_dim_products(monkeypatch, q, max_dim):
+    """Adjoining c to a ring T makes exactly dim T[c] products, and adjoining
+    several generators makes that many for each in turn."""
+    calls = _seeded_closures(monkeypatch, q, max_dim)
+    expected = [sum(all_pairs_closure(ambient, gens[:k], seed).dim
+                    for k in range(1, len(gens) + 1))
+                for ambient, gens, seed in calls]
+    products = []
+    original = Algebra.mul
+
+    def counting(self, u, v):
+        products.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(Algebra, "mul", counting)
+    made = []
+    for ambient, gens, seed in calls:
+        products.clear()
+        generated_subalgebra(ambient, gens, seed=seed)
+        made.append(len(products))
+    assert made == expected
+
+
 def test_subspace_equality_is_class_ambient_and_basis(F2, T44):
     rows = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     R = Subalgebra(T44, rows)

@@ -336,6 +336,20 @@ def test_rref_and_reduce_vec_match_reference(fv, data):
     assert reduce_vec(F, red, vec) == _ref_reduce(F, red, vec)
 
 
+@given(field_vectors())
+@settings(max_examples=200, deadline=None)
+def test_reduce_insert_grows_the_rref(fv):
+    """Inserting vectors one at a time keeps rows equal to the rref of all of
+    them, and returns each vector's normal form modulo the rows before it."""
+    F, _, vecs = fv
+    rows = []
+    for k, v in enumerate(vecs):
+        expected = _ref_reduce(F, rref(F, vecs[:k]), v)
+        red = gfq.reduce_insert(F, rows, v)
+        assert red == (expected if any(expected) else None)
+        assert tuple(rows) == rref(F, vecs[:k + 1])
+
+
 @given(kernel_fields(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_algebra_mul_matches_reference(F, data):

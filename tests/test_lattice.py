@@ -1,3 +1,6 @@
+import itertools
+import pathlib
+
 import pytest
 
 from ringlat.algebra import Extension, Subalgebra, generated_subalgebra, make_product
@@ -203,6 +206,35 @@ def test_is_delta_extension(ext44, ext64, ext_chain3):
     ok, pair = is_delta_extension(lat64)
     assert not ok
     assert {p.dim for p in pair} == {2, 3}  # the two proper subfields
+
+
+def _delta_by_compositum(lat):
+    """The definition: the first pair of nodes whose module sum differs from
+    their compositum."""
+    from ringlat.lattice import compositum_rows, module_sum_rows
+
+    for i, j in itertools.combinations_with_replacement(range(len(lat.nodes)), 2):
+        if module_sum_rows(lat, i, j) != compositum_rows(lat, i, j):
+            return False, (lat.nodes[i], lat.nodes[j])
+    return True, None
+
+
+def test_is_delta_extension_matches_compositum_definition():
+    """Same answer and same witness as the definition, on the goldens and on
+    seeded instances over GF(2) and GF(3), several of them not delta."""
+    from ringlat.cli import load_instance
+    from ringlat.gen import GenSpec, random_extension
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    exts = [load_instance(str(path)) for path in sorted(golden.glob("*.json"))]
+    for q in (2, 3):
+        exts += random_extension(GenSpec(seed=4, q=q, max_dim=5, count=5))
+    verdicts = []
+    for ext in exts:
+        lat = enumerate_interval(ext)
+        verdicts.append(is_delta_extension(lat))
+        assert verdicts[-1] == _delta_by_compositum(lat)
+    assert sum(not ok for ok, _ in verdicts) >= 4
 
 
 def test_check_distributivity(ext44, ext64, ext_chain3):
