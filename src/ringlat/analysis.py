@@ -3,23 +3,22 @@
 Every exponential search of a command charges one counter before it works,
 so one budget bounds them all.  A unit is one candidate examined: a
 GF(q)-line vector of the complement of a node that enumeration expands (one
-closure; nodes <= closures + 1), a subspace the brute-force oracle scans, a
-GF(q)-line the t-closedness scan solves for, or a chain that ``check``
-lists.  A charge the budget cannot cover raises :class:`BudgetExceeded` and
-charges nothing.
+closure; nodes <= closures + 1), a subspace the brute-force oracle scans, or
+a chain that ``check`` lists.  The closed forms of the canonical chain are
+linear algebra and charge nothing.  A charge the budget cannot cover raises
+:class:`BudgetExceeded` and charges nothing.
 
 An :class:`Analysis` also memoizes by value (a ring is its ambient algebra
 and its canonical basis, so equal rings share one entry) the lattice of each
 interval, the local decomposition of each ring, the canonical decomposition
-and t-closedness test of each interval, and the minimal-step kind and
-crucial ideal of each cover edge T < U.  A localization is a subinterval
-of its pair, cheap to rebuild, whose lattice the interval memo shares.  The
-cache lives as long as the object: the CLI makes one per command, and a
-library function called without one makes a fresh one, so a direct call
-computes everything for real.  The public
-functions behind the cache always compute; only the methods here look a
-result up first.  They import those functions when called, because their
-modules import this one.
+of each interval, and the minimal-step kind and crucial ideal of each cover
+edge T < U.  A localization is a subinterval of its pair, cheap to rebuild,
+whose lattice the interval memo shares.  The cache lives as long as the
+object: the CLI makes one per command, and a library function called
+without one makes a fresh one, so a direct call computes everything for
+real.  The public functions behind the cache always compute; only the
+methods here look a result up first.  They import those functions when
+called, because their modules import this one.
 """
 
 from __future__ import annotations
@@ -73,11 +72,6 @@ class Analysis:
         """The canonical decomposition R <= +R <= tR <= S of ext."""
         from .canonical import canonical_decomposition
         return self._fact(("canonical", ext), lambda: canonical_decomposition(ext, an=self))
-
-    def t_closed(self, ext):
-        """The t-closedness test of ext, with its route and any witness."""
-        from .canonical import is_t_closed
-        return self._fact(("t-closed", ext), lambda: is_t_closed(ext, an=self))
 
     def edge_kind(self, T, U):
         """The minimal-step kind (inert, decomposed or ramified) of a cover T < U."""

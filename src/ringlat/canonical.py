@@ -2,11 +2,12 @@
 
 A cover edge T < U of an interval is classified as inert, decomposed or
 ramified from the conductor (T:U) and the maximal ideals of U above it;
-exactly one of the three condition sets may hold.  On top of the per-edge
-classification sit the subintegral / infra-integral / t-closed predicates,
-the seminormalization, the t-closure (read off the classified lattice and
-checked against the greatest infra-integral node) and the supremum of
-residual-extension lengths.
+exactly one of the three condition sets may hold.  Beside it sit the
+subintegral / infra-integral / t-closed predicates, the canonical chain
+R <= +R <= tR <= S and the supremum of residual-extension lengths.  +R and tR
+come from closed forms, +R = R + Nil(S) and tR as one Frobenius kernel, and
+the canonical decomposition checks each against the nodes that its kinds of
+cover edges reach from R in the classified lattice.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from .algebra import (
     support,
 )
 from .analysis import Analysis
-from .gfq import intersect_rowspaces, rref
-from .lattice import interval_length, longest_chain
+from .gfq import intersect_rowspaces
+from .lattice import interval_length
 
 INERT = "inert"
 DECOMPOSED = "decomposed"
 RAMIFIED = "ramified"
-SCAN_LINES = 2 ** 16  # the t-closedness scan's route limit, in GF(q)-lines of S
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,14 @@ def classify_minimal(T, U, an=None):
 
 def crucial_ideal(T, U, an=None):
     """The unique maximal ideal of T where the pair is locally nontrivial."""
+    an = an or Analysis()
     diffs = support(Extension(T, U), an)
     if len(diffs) != 1:
         raise InternalInvariantError(
             "crucial-uniqueness",
             f"{len(diffs)} maximal ideals are locally nontrivial, expected 1")
     M = diffs[0]
-    if M != conductor(T, U):
+    if M != an.edge_kind(T, U).conductor:
         raise InternalInvariantError(
             "crucial-vs-conductor",
             "crucial ideal differs from the conductor on an integral minimal pair")
@@ -161,94 +162,43 @@ def is_subintegral(ext, an=None):
     return len(set(images)) == len(images) == n_bottom
 
 
-@dataclass(frozen=True)
-class TClosedResult:
-    value: bool
-    method: str          # "scan" or "chain"
-    witness: tuple = None  # (b, r) violating the closure condition
-
-
 def is_t_closed(ext, an=None):
-    """Closure under the quadratic-cubic membership condition.
+    """R is t-closed in S: R is its own t-closure, read off the memoized
+    canonical decomposition."""
+    return (an or Analysis()).canonical(ext).t_closure == ext.bottom
 
-    R is t-closed in S unless some b in S but not in R and some r in R have
-    b^2 - rb and b^3 - rb^2 in R.  For a fixed b the map r -> (rb, rb^2)
-    mod R is GF(q)-linear, so the search over r is one membership test of
-    (b^2, b^3) mod R in the span of the images of R's basis.  The condition
-    is the same for b and cb, so the definitional scan makes one solve per
-    GF(q)-line of S, one work unit each.  This scan, the route independent
-    of the edge kinds, runs while S has at most ``SCAN_LINES`` lines; past
-    that, every step of one cover path of the pair's lattice must be inert.
+
+def seminormalization(ext, an=None):
+    """+R = R + Nil(S), the greatest intermediate ring subintegral over R.
+
+    (R + Nil(S))/Nil(S) is R/Nil(R), so R + Nil(S) has the maximal ideals and
+    residue fields of R; and a ring T subintegral over R is R + Nil(T), as
+    T/Nil(T) is the image of R/Nil(R).
+    """
+    nil = (an or Analysis()).decomposition(ext.top).nilradical
+    return Subalgebra(ext.ambient, ext.bottom.basis + nil.basis, check=False)
+
+
+def t_closure(ext, an=None):
+    """tR = {s in S : s^Q - s in N for every maximal ideal N of S}, where
+    Q = |κ(N ∩ R)|: the elements whose residue at each N lies in the image
+    of κ(N ∩ R), the greatest intermediate ring infra-integral over R.
+
+    Q is a power of q, so x -> x^Q - x is GF(q)-linear and tR is the kernel
+    of one linear map, S -> the product of the S/N.
     """
     an = an or Analysis()
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
-    lines = (F.q ** S.dim - 1) // (F.q - 1)
-    if lines <= SCAN_LINES:
-        an.charge("t-closedness scan", lines)
+    residuals = residual_extensions(ext, an)
 
-        def mod_r(u, v):
-            return gfq.reduce_vec(F, R.basis, u) + gfq.reduce_vec(F, R.basis, v)
+    def residues(s):
+        return sum((gfq.reduce_vec(F, r.prime_top.basis,
+                                   gfq.vsub(F, A.pow(s, F.q ** (R.dim - r.prime_bottom.dim)), s))
+                    for r in residuals), ())
 
-        for b in gfq.line_vectors(F, S.basis):
-            if R.contains_vector(b):
-                continue
-            b2 = A.mul(b, b)
-            target = mod_r(b2, A.mul(b2, b))
-            images = [mod_r(A.mul(r, b), A.mul(r, b2)) for r in R.basis]
-            if gfq.in_span(F, rref(F, images), target):
-                r = gfq.lincomb(F, gfq.express(F, images, target), R.basis)
-                return TClosedResult(False, "scan", (b, r))
-        return TClosedResult(True, "scan")
-    lat = an.lattice(ext)
-    path = [lat.nodes[i] for i in longest_chain(lat).nodes]
-    inert = all(an.edge_kind(lo, hi).kind == INERT for lo, hi in zip(path, path[1:]))
-    return TClosedResult(inert, "chain")
-
-
-def seminormalization(ext, an=None):
-    """Largest intermediate ring subintegral over the bottom."""
-    an = an or Analysis()
-    hits = [n for n in an.lattice(ext).nodes
-            if is_subintegral(Extension(ext.bottom, n), an)]
-    top = max(hits, key=lambda n: n.dim)
-    for n in hits:
-        if not top.contains(n):
-            raise InternalInvariantError(
-                "seminormalization-not-unique",
-                "subintegral nodes have no greatest element")
-    return top
-
-
-def t_closure(ext, an=None):
-    """Pivot ring, computed by two characterizations that must agree: the
-    greatest infra-integral node and the least t-closed node, where n is
-    t-closed when every cover edge of [n, S] is inert."""
-    an = an or Analysis()
-    lat = an.lattice(ext)
-    infra = [n for n in lat.nodes if is_infra_integral(Extension(ext.bottom, n), an)]
-    greatest = max(infra, key=lambda n: n.dim)
-    for n in infra:
-        if not greatest.contains(n):
-            raise InternalInvariantError(
-                "t-closure-not-unique",
-                "infra-integral nodes have no greatest element")
-    t_closed = [True] * len(lat.nodes)
-    for i, j in reversed(lat.covers):  # sorted covers: [j, S] is settled before i
-        t_closed[i] = (t_closed[i] and t_closed[j]
-                       and an.edge_kind(lat.nodes[i], lat.nodes[j]).kind == INERT)
-    closed = [n for n, ok in zip(lat.nodes, t_closed) if ok]
-    least = min(closed, key=lambda n: n.dim)
-    for n in closed:
-        if not n.contains(least):
-            raise InternalInvariantError(
-                "t-closure-not-unique",
-                "t-closed nodes have no least element")
-    if greatest != least:
-        raise InternalInvariantError(
-            "t-closure-mismatch",
-            "greatest infra-integral node differs from least t-closed node")
-    return greatest
+    kernel = gfq.left_kernel(F, [residues(s) for s in S.basis])
+    return Subalgebra(A, [gfq.lincomb(F, c, S.basis) for c in kernel], check=False)
 
 
 @dataclass(frozen=True)
@@ -263,6 +213,9 @@ class CanonicalDecomposition:
 
 
 def canonical_decomposition(ext, an=None):
+    """+R and tR by their closed forms, each checked against the classified
+    lattice: the nodes that ramified covers reach from R are the nodes under
+    +R, and those that ramified or decomposed covers reach are those under tR."""
     an = an or Analysis()
     plus = seminormalization(ext, an)
     tcl = t_closure(ext, an)
@@ -270,6 +223,16 @@ def canonical_decomposition(ext, an=None):
         raise InternalInvariantError(
             "canonical-chain-broken",
             "seminormalization not contained in the t-closure")
+    lat = an.lattice(ext)
+    for ring, kinds, tag in ((plus, (RAMIFIED,), "seminormalization-vs-lattice"),
+                             (tcl, (RAMIFIED, DECOMPOSED), "t-closure-vs-lattice")):
+        reached = {lat.bottom}
+        for i, j in lat.covers:  # sorted by i, and i < j: node i is settled
+            if i in reached and an.edge_kind(lat.nodes[i], lat.nodes[j]).kind in kinds:
+                reached.add(j)
+        if reached != {k for k, n in enumerate(lat.nodes) if ring.contains(n)}:
+            raise InternalInvariantError(
+                tag, "closed form differs from the nodes its covers reach from the bottom")
     return CanonicalDecomposition(seminormalization=plus, t_closure=tcl)
 
 
@@ -372,7 +335,7 @@ def verify_chain_classification(lat, chain, an=None):
     all_inert = all(k == INERT for k in kinds)
     all_rd = all(k in (RAMIFIED, DECOMPOSED) for k in kinds)
     infra = is_infra_integral(ext, an)
-    tcl = an.t_closed(ext).value
+    tcl = is_t_closed(ext, an)
     violations = []
     if infra != all_rd:
         violations.append("infra-integral flag disagrees with the step census")

@@ -2,12 +2,13 @@
 
 Instances are JSON documents (see schema/instance.json).  Each command has
 one work budget (``--budget``, in the units of ``ringlat.analysis``) that its
-enumerations, oracle, t-closedness scans and chain listing all charge.  Exit
-codes: 0 success, 1 parse/validation error or a usage error (argparse's
-usage text on stderr), 2 work budget exceeded (one stderr line naming the
-phase), 3 a structural cross-check failed (a bug signal, printed with its
-machine tag), 141 the reader closed stdout early (128 + SIGPIPE, as a shell
-reports a broken pipe).
+enumerations, oracle and chain listing all charge; the canonical chain comes
+from closed forms and charges nothing.  Exit codes: 0 success, 1
+parse/validation error or a usage error (argparse's usage text on stderr),
+2 work budget exceeded (one stderr line naming the phase), 3 a structural
+cross-check failed (a bug signal, printed with its machine tag), 141 the
+reader closed stdout early (128 + SIGPIPE, as a shell reports a broken
+pipe).
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ from .canonical import (
     classify_cover_edges,
     is_infra_integral,
     is_subintegral,
+    is_t_closed,
     lambda_crosscheck,
     lambda_invariant,
     length_additivity_check,
     verify_chain_classification,
 )
-from .gen import GenSpec, RejectionExhausted, random_extension
+from .gen import SHAPES, GenSpec, RejectionExhausted, random_extension
 from .gfq import GF
 from .lattice import (
     brute_force_interval,
@@ -346,7 +348,7 @@ def _check_suite(ext, args):
 
     an.canonical(ext)  # its cross-checks run before the census checks print
     infra = is_infra_integral(ext, an)
-    tcl_res = an.t_closed(ext)
+    t_closed = is_t_closed(ext, an)
     kinds = [k.kind for k in edge_kinds.values()]
     chains, truncated = maximal_chains(lat, an.left)  # one more than is left raises
     an.charge("maximal chains", len(chains) + truncated)
@@ -356,9 +358,9 @@ def _check_suite(ext, args):
     all_inert = all(k == "inert" for k in kinds)
     ok = True
     if lat.covers:
-        ok = (infra == all_rd) and (tcl_res.value == all_inert)
+        ok = (infra == all_rd) and (t_closed == all_inert)
     yield "census-vs-predicates", ok, \
-        f"infra={infra} all_rd={all_rd} t_closed={tcl_res.value} all_inert={all_inert}"
+        f"infra={infra} all_rd={all_rd} t_closed={t_closed} all_inert={all_inert}"
 
     supp_set = frozenset(m.basis for m in support(ext, an))
     traces = {chain_trace_set(classify_chain(lat, c, an)) for c in chains}
@@ -470,7 +472,13 @@ def make_parser():
                        help="enumeration worker threads (output-identical)")
         p.add_argument("--budget", type=_units, default=DEFAULT_BUDGET,
                        help="work units the command may spend: closures, oracle "
-                            "subspaces, t-closedness scan solves and maximal chains")
+                            "subspaces and maximal chains")
+
+    def gen_options(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--q", type=int, default=2)
+        p.add_argument("--max-dim", type=int, default=5)
+        p.add_argument("--count", type=int, default=1)
 
     p = sub.add_parser("analyze", help="full analysis report")
     common(p)
@@ -496,22 +504,14 @@ def make_parser():
     p = sub.add_parser("check", help="run the invariant suites")
     common(p, with_path=False)
     p.add_argument("path", nargs="?", help="instance JSON file")
-    p.add_argument("--gen", choices=("local-subintegral", "product-of-locals",
-                                     "field-tower", "mixed"),
+    p.add_argument("--gen", choices=SHAPES,
                    help="generate instances instead of reading a file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--max-dim", type=int, default=5)
-    p.add_argument("--count", type=int, default=1)
+    gen_options(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="emit seeded instance files")
-    p.add_argument("--shape", choices=("local-subintegral", "product-of-locals",
-                                       "field-tower", "mixed"), default="mixed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--max-dim", type=int, default=5)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--shape", choices=SHAPES, default="mixed")
+    gen_options(p)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_gen)
     return parser

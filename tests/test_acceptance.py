@@ -241,7 +241,7 @@ def test_criterion_8_trichotomy_exhaustiveness(mixed_campaign, ex44):
         all_rd = all(v in (RAMIFIED, DECOMPOSED) for v in values)
         all_inert = all(v == INERT for v in values)
         assert is_infra_integral(ext) == all_rd
-        assert is_t_closed(ext).value == all_inert
+        assert is_t_closed(ext) == all_inert
     report(8, f"trichotomy exhaustive on {edges} cover edges")
 
 

@@ -17,6 +17,7 @@ from ringlat.cli import main
 
 Y5 = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 0, 0, 0, 0, 1]}}
 Y6 = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 0, 0, 0, 0, 0, 1]}}
+Y8 = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0] * 8 + [1]}}
 PRODUCT = {"field": {"p": 2, "e": 1},
            "algebra": {"product": [{"poly_quotient": [0, 0, 1]},
                                    {"poly_quotient": [1, 1, 1]},
@@ -88,23 +89,9 @@ def test_nilradical_once_per_distinct_ring(write, monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
-@pytest.mark.parametrize("doc", [Y5, PRODUCT], ids=["check-y5", "check-product"])
-def test_budget_scan_reaches_every_t_closed_call(write, monkeypatch, doc):
-    """With no GF(q)-line left to the scan, every t-closedness test of check
-    reads the edge kinds of a cover path, and the report is unchanged."""
-    path = write(doc)
-    default = run(["check", path])
-    methods = Counter()
-    spy(monkeypatch, canonical, "is_t_closed",
-        lambda args, kwargs, result: methods.update([result.method]))
-    monkeypatch.setattr(canonical, "SCAN_LINES", 0)
-    assert run(["check", path]) == default
-    assert methods and set(methods) == {"chain"}
-
-
 @pytest.mark.parametrize("name", ["y5", "product", "f9-mixed"])
 def test_analyze_makes_no_t_closed_call(monkeypatch, name):
-    """analyze reads t-closedness off the classified lattice."""
+    """analyze reads t-closedness off its canonical decomposition."""
     calls = []
     spy(monkeypatch, canonical, "is_t_closed",
         lambda args, kwargs, result: calls.append(result))
@@ -128,12 +115,22 @@ def test_check_classifies_each_edge_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["y5", "product", "f9-mixed"])
 def test_check_tests_t_closedness_once(monkeypatch, name):
-    """census-vs-predicates and chain-classification share one scan."""
+    """census-vs-predicates and chain-classification read one t-closure."""
     calls = []
-    spy(monkeypatch, canonical, "is_t_closed",
+    spy(monkeypatch, canonical, "t_closure",
         lambda args, kwargs, result: calls.append(result))
     run(["check", str(GOLDEN / f"{name}.json")])
     assert len(calls) == 1
+
+
+def test_analyze_finds_residue_fields_a_few_times(write, monkeypatch):
+    """analyze on the base field in F2[Y]/(Y^8), 110 nodes, reads residue
+    fields for its closed forms and predicates, not once per node."""
+    calls = []
+    spy(monkeypatch, canonical, "residual_extensions",
+        lambda args, kwargs, result: calls.append(args[0]))
+    run(["analyze", write(Y8)])
+    assert 0 < len(calls) <= 10
 
 
 @pytest.mark.parametrize("verb", [("check",), ("nagata", "--json"), ("analyze", "--json")])
@@ -148,7 +145,7 @@ def test_budget_nodes_reaches_nested_enumerations(write, monkeypatch, verb):
 
 
 BUDGET_ERROR = (r"error: work budget exceeded in (interval enumeration|subspace oracle"
-                r"|t-closedness scan|maximal chains): \d+ of {} units spent, \d+ more requested\n")
+                r"|maximal chains): \d+ of {} units spent, \d+ more requested\n")
 
 
 @pytest.mark.parametrize("verb", ["analyze", "lattice", "nagata", "check"])

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ringlat import canonical, gfq
@@ -11,9 +13,10 @@ from ringlat.algebra import (
     local_decomposition,
     make_poly_quotient,
     make_product,
+    module_length,
     support,
 )
-from ringlat.analysis import Analysis, BudgetExceeded
+from ringlat.analysis import Analysis
 from ringlat.canonical import (
     DECOMPOSED,
     INERT,
@@ -36,9 +39,9 @@ from ringlat.canonical import (
     t_closure,
     verify_chain_classification,
 )
-from ringlat.gen import GenSpec, random_extension
-from ringlat.gfq import GF, irreducible_poly
-from ringlat.lattice import enumerate_interval, maximal_chains
+from ringlat.gen import SHAPES, GenSpec, random_extension
+from ringlat.gfq import irreducible_poly
+from ringlat.lattice import enumerate_interval, interval_length, maximal_chains
 
 
 @pytest.fixture(scope="module")
@@ -112,36 +115,12 @@ def test_predicates_examples(ext44, F2, F4alg, minimal_trio):
     extD = Extension(generated_subalgebra(P, []), P)
     assert is_infra_integral(extD) and not is_subintegral(extD)
     extI = Extension(generated_subalgebra(F4alg, []), F4alg)
-    res = is_t_closed(extI)
-    assert res.value and res.method == "scan"
-
-
-def test_t_closed_scan_vs_chain_paths(monkeypatch, ext44, ext64, ext_chain3):
-    F4, F9 = GF(2, 2), GF(3, 2)
-    f4_y3 = make_poly_quotient(F4, (0, 0, 0, 1))
-    f729 = make_poly_quotient(F9, irreducible_poly(F9, 3))
-    extra = [Extension(generated_subalgebra(S, []), S) for S in (f4_y3, f729)]
-    exts = (ext44, ext64, ext_chain3, *extra)
-    by_scan = [is_t_closed(ext, an=Analysis()) for ext in exts]
-    monkeypatch.setattr(canonical, "SCAN_LINES", 0)
-    by_chain = [is_t_closed(ext, an=Analysis()) for ext in exts]
-    for scan, chain in zip(by_scan, by_chain):
-        assert scan.method == "scan" and chain.method == "chain"
-        assert scan.value == chain.value
-
-
-def test_t_closed_scan_charges_its_lines(ext64):
-    """GF(2) inside GF(64): the scan charges one unit per GF(2)-line of S,
-    2^6 - 1 = 63, before it solves."""
-    an = Analysis()
-    assert is_t_closed(ext64, an).method == "scan" and an.spent == 63
-    with pytest.raises(BudgetExceeded):
-        is_t_closed(ext64, Analysis(budget=62))
+    assert is_t_closed(extI)
 
 
 def reference_t_closed(ext):
-    """The definitional scan: the first pair (b, r) in S x R with b outside R
-    and b^2 - rb, b^3 - rb^2 in R, trying every r for every b."""
+    """The definitional scan: R is t-closed in S unless some b in S but not
+    in R and some r in R have b^2 - rb and b^3 - rb^2 in R."""
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
     r_elements = list(gfq.span_vectors(F, R.basis))
@@ -153,18 +132,8 @@ def reference_t_closed(ext):
         for r in r_elements:
             if (R.contains_vector(gfq.vsub(F, b2, A.mul(r, b)))
                     and R.contains_vector(gfq.vsub(F, b3, A.mul(r, b2)))):
-                return False, (b, r)
-    return True, None
-
-
-def violates_t_closedness(ext, b, r):
-    R, A = ext.bottom, ext.ambient
-    F = A.field
-    b2 = A.mul(b, b)
-    return (ext.top.contains_vector(b) and R.contains_vector(r)
-            and not R.contains_vector(b)
-            and R.contains_vector(gfq.vsub(F, b2, A.mul(r, b)))
-            and R.contains_vector(gfq.vsub(F, A.mul(b2, b), A.mul(r, b2))))
+                return False
+    return True
 
 
 @pytest.mark.parametrize("q,shape,seed", [
@@ -175,9 +144,8 @@ def violates_t_closedness(ext, b, r):
 ])
 def test_t_closed_scan_matches_reference(q, shape, seed):
     """Every node n of seeded instances: is_t_closed finds [n, S] t-closed
-    exactly when the pair-by-pair scan does, a scan witness is the
-    reference's b with an r that satisfies the definition, and t_closure is
-    the least node the reference finds t-closed."""
+    exactly when the definitional pair-by-pair scan does, and t_closure is
+    the least node the scan finds t-closed."""
     max_dim = 3 if q == 9 else 4
     pairs = 0
     for ext in random_extension(GenSpec(seed=seed, q=q, max_dim=max_dim,
@@ -185,13 +153,8 @@ def test_t_closed_scan_matches_reference(q, shape, seed):
         closed = []
         for node in enumerate_interval(ext).nodes:
             sub = Extension(node, ext.top)
-            expected, ref_witness = reference_t_closed(sub)
-            got = is_t_closed(sub)
-            assert got.value == expected
-            if got.method == "scan" and not expected:
-                b, r = got.witness
-                assert b == ref_witness[0]
-                assert violates_t_closedness(sub, b, r)
+            expected = reference_t_closed(sub)
+            assert is_t_closed(sub) == expected
             if expected:
                 closed.append(node)
             pairs += 1
@@ -201,18 +164,96 @@ def test_t_closed_scan_matches_reference(q, shape, seed):
     assert pairs >= 6
 
 
-def test_t_closed_witness(ext44):
-    res = is_t_closed(ext44)
-    assert not res.value
-    b, r = res.witness
-    A = ext44.ambient
-    from ringlat.gfq import vsub
+def greatest_node(nodes, over):
+    """The greatest of the nodes n with over(n), which must contain the rest."""
+    hits = [n for n in nodes if over(n)]
+    top = max(hits, key=lambda n: n.dim)
+    assert all(top.contains(n) for n in hits)
+    return top
 
-    b2 = A.mul(b, b)
-    b3 = A.mul(b2, b)
-    assert ext44.bottom.contains_vector(vsub(A.field, b2, A.mul(r, b)))
-    assert ext44.bottom.contains_vector(vsub(A.field, b3, A.mul(r, b2)))
-    assert not ext44.bottom.contains_vector(b)
+
+@pytest.mark.parametrize("q,seed", [(2, 21), (3, 31), (4, 41), (5, 51), (8, 81), (9, 91)])
+def test_closed_forms_match_node_scans(q, seed):
+    """On every node n of seeded instances, +R and tR of [n, S] are the
+    greatest node of [n, S] subintegral, and infra-integral, over n."""
+    max_dim = 3 if q in (8, 9) else 4
+    pairs = 0
+    for shape in ("mixed", "product-of-locals"):
+        for ext in random_extension(GenSpec(seed=seed, q=q, max_dim=max_dim,
+                                            shape=shape, count=6)):
+            an = Analysis()
+            nodes = an.lattice(ext).nodes
+            for n in nodes:
+                sub = Extension(n, ext.top)
+                above = [m for m in nodes if m.contains(n)]
+                assert seminormalization(sub, an) == greatest_node(
+                    above, lambda m: is_subintegral(Extension(n, m), an))
+                assert t_closure(sub, an) == greatest_node(
+                    above, lambda m: is_infra_integral(Extension(n, m), an))
+                pairs += 1
+    assert pairs >= 20
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_length_formula(q):
+    """The length of [R, S] from the canonical chain, with no lattice:
+    L_R(+R/R) + (|Max tR| - |Max +R|) + the sum of Omega(residual degree)
+    over tR <= S, for the ramified, decomposed and inert steps (DPP 2012)."""
+    max_dim = {2: 5, 8: 3, 9: 3}.get(q, 4)
+    count = 0
+    for shape in SHAPES:
+        for ext in random_extension(GenSpec(seed=100 + q, q=q, max_dim=max_dim,
+                                            shape=shape, count=6)):
+            an = Analysis()
+            plus, tcl = seminormalization(ext, an), t_closure(ext, an)
+            formula = (module_length(ext.bottom, plus.basis, ext.bottom.basis, an)
+                       + len(an.decomposition(tcl).factors)
+                       - len(an.decomposition(plus).factors)
+                       + sum(r.length for r in residual_extensions(Extension(tcl, ext.top), an)))
+            assert interval_length(enumerate_interval(ext)) == formula
+            count += 1
+    assert count == 4 * 6
+
+
+@pytest.fixture(scope="module")
+def mutation_instances(F2, F4alg):
+    """F2 in F2[Y]/(Y^2) x F2, where +R lies strictly between R and tR = S,
+    and F2 in F2 x F4, where R = +R lies strictly below tR = F2 x F2."""
+    S1 = make_product(make_poly_quotient(F2, (0, 0, 1)), base_algebra(F2))
+    S2 = make_product(base_algebra(F2), F4alg)
+    return {name: Extension(generated_subalgebra(S, []), S)
+            for name, S in (("seminormalization", S1), ("t_closure", S2))}
+
+
+@pytest.mark.parametrize("closed_form,tag", [
+    ("seminormalization", "seminormalization-vs-lattice"),
+    ("t_closure", "t-closure-vs-lattice"),
+])
+@pytest.mark.parametrize("wrong", ["bottom", "top"])
+def test_lattice_catches_a_wrong_closed_form(monkeypatch, mutation_instances,
+                                             closed_form, tag, wrong):
+    """A closed form that returns R, or S, in place of its ring disagrees
+    with the nodes its covers reach, and canonical_decomposition says so."""
+    ext = mutation_instances[closed_form]
+    dec = canonical_decomposition(ext)
+    assert ext.bottom != getattr(dec, closed_form) != ext.top
+    monkeypatch.setattr(canonical, closed_form, lambda ext, an=None: getattr(ext, wrong))
+    with pytest.raises(InternalInvariantError) as err:
+        canonical_decomposition(ext)
+    assert err.value.tag == tag
+
+
+def test_t_closure_of_a_large_field_costs_no_work(F2):
+    """GF(2) inside GF(2^16) is t-closed: the closed form is one kernel of a
+    16-row map, with no unit of work and well under a second."""
+    modulus = (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)  # x^16 + x^5 + x^3 + x^2 + 1
+    assert gfq.poly_is_irreducible(F2, modulus)
+    S = make_poly_quotient(F2, modulus)
+    ext = Extension(generated_subalgebra(S, []), S)
+    start = time.perf_counter()
+    an = Analysis(budget=0)
+    assert t_closure(ext, an) == ext.bottom
+    assert time.perf_counter() - start < 1.0 and an.spent == 0
 
 
 def test_seminormalization_examples(ext44, F2, F4alg):
@@ -238,7 +279,7 @@ def test_t_closure_examples(ext44, F2, F4alg):
     tcl = t_closure(ext)
     assert tcl.dim == 2
     assert is_infra_integral(Extension(R, tcl))
-    assert is_t_closed(Extension(tcl, S.full())).value
+    assert is_t_closed(Extension(tcl, S.full()))
 
 
 def test_canonical_decomposition_chain(F2, F4alg):
@@ -249,7 +290,7 @@ def test_canonical_decomposition_chain(F2, F4alg):
     assert tcl.contains(plus) and plus.contains(ext.bottom)
     assert is_subintegral(Extension(ext.bottom, plus))
     assert is_infra_integral(Extension(ext.bottom, tcl))
-    assert is_t_closed(Extension(tcl, ext.top)).value
+    assert is_t_closed(Extension(tcl, ext.top))
 
 
 def test_lambda_examples(ext44, ext64, F2, F4alg):
