@@ -450,11 +450,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _units(text):
-    """A --budget value: a whole number of work units, 0 or more."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a whole number, 0 or more, got {text!r}")
-    return int(text)
+def _at_least(least):
+    """The type of a whole-number option: least or more."""
+    def parse(text):
+        if text.isdecimal() and int(text) >= least:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"expected a whole number, {least} or more, got {text!r}")
+    return parse
 
 
 def make_parser():
@@ -468,9 +470,9 @@ def make_parser():
     def common(p, with_path=True):
         if with_path:
             p.add_argument("path", help="instance JSON file")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_at_least(1), default=1,
                        help="enumeration worker threads (output-identical)")
-        p.add_argument("--budget", type=_units, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
                        help="work units the command may spend: closures, oracle "
                             "subspaces and maximal chains")
 

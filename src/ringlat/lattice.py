@@ -10,7 +10,9 @@ X covers T iff (q**(dim X - dim T) - 1) / (q - 1) of them, one per line of
 X ∩ C, give X, because X = T + (X ∩ C) and a ring strictly between T and X
 takes the lines it contains.  A brute-force scan over all subspaces serves as
 an independent oracle.  Both charge their analysis before they work: one unit
-per line vector of each node expanded, or per subspace to be scanned.
+per line vector of each node expanded, or per subspace to be scanned.  The
+order, meets, joins, the delta test and distributivity are read off bitmasks
+built from the covers, with no linear algebra.
 """
 
 from __future__ import annotations
@@ -25,18 +27,18 @@ from .algebra import (
     Extension,
     Subalgebra,
     generated_subalgebra,
-    ideal_mul_rows,
     localize_extension,
     quotient,
     support,
 )
 from .analysis import DEFAULT_BUDGET, Analysis
-from .gfq import complement_in, in_span, intersect_rowspaces, rref
+from .gfq import complement_in, in_span, rref
 
 
 @dataclass
 class ExtensionLattice:
-    """The full interval; covers holds the sorted (i, j) with nodes[j] covering nodes[i]."""
+    """The full interval; covers holds the sorted (i, j) with nodes[j] covering nodes[i],
+    so j > i; bit k of above[i] (below[i]) says nodes[i] ⊆ nodes[k] (nodes[k] ⊆ nodes[i])."""
 
     ext: Extension
     nodes: tuple
@@ -46,13 +48,26 @@ class ExtensionLattice:
 
     def __post_init__(self):
         up = [[] for _ in self.nodes]
-        for i, j in self.covers:
+        self.above = [1 << k for k in range(len(self.nodes))]
+        self.below = list(self.above)
+        for i, j in self.covers:  # below[i] is complete: covers into i come first
             up[i].append(j)
+            self.below[j] |= self.below[i]
+        for i, j in reversed(self.covers):  # likewise above[j]
+            self.above[i] |= self.above[j]
         self._up = tuple(map(tuple, up))
 
     def leq(self, i, j):
-        a, b = self.nodes[i], self.nodes[j]
-        return a.dim <= b.dim and b.contains(a)
+        return bool(self.above[i] >> j & 1)
+
+    def join(self, i, j):
+        """The compositum: the common upper bound of least dimension, so index."""
+        common = self.above[i] & self.above[j]
+        return (common & -common).bit_length() - 1
+
+    def meet(self, i, j):
+        """The intersection: the common lower bound of greatest index."""
+        return (self.below[i] & self.below[j]).bit_length() - 1
 
     def up(self, i):
         """The upper covers of nodes[i], in increasing index order."""
@@ -197,24 +212,15 @@ def is_arithmetic(ext, an=None):
 def is_pinched_at(lat, node):
     """True iff every node is comparable with the given node, a ring of lat."""
     i = lat.index_of(node)
-    return all(lat.leq(i, j) or lat.leq(j, i) for j in range(len(lat.nodes)))
-
-
-def module_sum_rows(lat, i, j):
-    F = lat.ext.ambient.field
-    return rref(F, lat.nodes[i].basis + lat.nodes[j].basis)
-
-
-def compositum_rows(lat, i, j):
-    return ideal_mul_rows(lat.ext.ambient, lat.nodes[i].basis, lat.nodes[j].basis)
+    return lat.above[i] | lat.below[i] == (1 << len(lat.nodes)) - 1
 
 
 def is_delta_extension(lat):
-    """True iff the module sum of any two nodes equals their compositum: the
-    sum contains 1 and lies in the compositum, so iff its basis is a node's."""
-    bases = {node.basis for node in lat.nodes}
+    """True iff the module sum T + U of any two nodes equals their compositum:
+    T + U lies in T ∨ U and has dimension dim T + dim U - dim(T ∧ U)."""
+    dim = [node.dim for node in lat.nodes]
     for i, j in itertools.combinations(range(len(lat.nodes)), 2):
-        if module_sum_rows(lat, i, j) not in bases:
+        if dim[i] + dim[j] != dim[lat.meet(i, j)] + dim[lat.join(i, j)]:
             return False, (lat.nodes[i], lat.nodes[j])
     return True, None
 
@@ -222,16 +228,8 @@ def is_delta_extension(lat):
 def check_distributivity(lat):
     """Meet/join distributivity over all node triples; first failure returned."""
     n = len(lat.nodes)
-    index = {node.basis: k for k, node in enumerate(lat.nodes)}
-    A = lat.ext.ambient
-    meet = {}
-    join = {}
-    for i in range(n):
-        for j in range(i, n):
-            m_rows = intersect_rowspaces(A.field, lat.nodes[i].basis,
-                                         lat.nodes[j].basis, A.dim)
-            meet[i, j] = meet[j, i] = index[m_rows]
-            join[i, j] = join[j, i] = index[compositum_rows(lat, i, j)]
+    meet = {(i, j): lat.meet(i, j) for i in range(n) for j in range(n)}
+    join = {(i, j): lat.join(i, j) for i in range(n) for j in range(n)}
     for b, c, d in itertools.product(range(n), repeat=3):
         if meet[b, join[c, d]] != join[meet[b, c], meet[b, d]]:
             return False, (lat.nodes[b], lat.nodes[c], lat.nodes[d])

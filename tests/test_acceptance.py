@@ -41,7 +41,6 @@ from ringlat.gfq import GF
 from ringlat.lattice import (
     brute_force_interval,
     check_distributivity,
-    compositum_rows,
     enumerate_interval,
     interval_length,
     is_arithmetic,
@@ -272,7 +271,8 @@ def test_criterion_10_arithmetic_implies_delta_distributive(mixed_campaign):
     assert arithmetic_count >= 1
     # the 64-element tower reproduces the modular non-chain shape
     F2 = GF(2)
-    from ringlat.gfq import intersect_rowspaces, irreducible_poly
+    from ringlat.gfq import irreducible_poly
+    from test_lattice import compositum_rows, meet_rows
 
     F64 = make_poly_quotient(F2, irreducible_poly(F2, 6))
     ext = Extension(generated_subalgebra(F64, []), F64)
@@ -281,9 +281,7 @@ def test_criterion_10_arithmetic_implies_delta_distributive(mixed_campaign):
     t1 = lat.index_of([n for n in lat.nodes if n.dim == 2][0])
     t2 = lat.index_of([n for n in lat.nodes if n.dim == 3][0])
     assert compositum_rows(lat, t1, t2) == lat.nodes[lat.top].basis
-    met = intersect_rowspaces(F2, lat.nodes[t1].basis, lat.nodes[t2].basis,
-                              ext.ambient.dim)
-    assert met == lat.nodes[lat.bottom].basis
+    assert meet_rows(lat, t1, t2) == lat.nodes[lat.bottom].basis
     assert check_distributivity(lat)[0]  # modular lattice: identities hold
     assert not is_chained(lat)
     assert not is_delta_extension(lat)[0]

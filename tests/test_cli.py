@@ -134,7 +134,8 @@ def test_exit_code_budget(write):
     ["analyze", str(GOLDEN / "y4.json"), "--budget", "many"],
     ["analyze", str(GOLDEN / "y4.json"), "--budget", "-1"],
     ["check"],
-], ids=["unknown-option", "non-integer", "negative-budget", "bare-check"])
+    ["analyze", str(GOLDEN / "y4.json"), "--threads", "0"],
+], ids=["unknown-option", "non-integer", "negative-budget", "bare-check", "zero-threads"])
 def test_usage_error_exits_1(args):
     """A usage error has the parse/validation status 1, not the budget status
     2, with argparse's usage text on stderr."""

@@ -1,16 +1,26 @@
 import itertools
 import pathlib
+import sys
 
 import pytest
 
-from ringlat.algebra import Extension, Subalgebra, generated_subalgebra, make_product
+from ringlat import gfq
+from ringlat.algebra import (
+    Extension,
+    Subalgebra,
+    Subspace,
+    generated_subalgebra,
+    ideal_mul_rows,
+    make_product,
+)
 from ringlat.analysis import Analysis, BudgetExceeded
-from ringlat.gfq import GF
+from ringlat.gfq import GF, intersect_rowspaces, rref
 from ringlat.lattice import (
     ExtensionLattice,
     brute_force_interval,
     check_distributivity,
     enumerate_interval,
+    first_incomparable_pair,
     interval_length,
     is_arithmetic,
     is_chained,
@@ -26,6 +36,44 @@ from ringlat.lattice import (
 EX44_CARDINALITY = 6
 EX44_LENGTH = 3
 EX44_CHAIN_COUNT = 3
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+# Reference definitions of the order of [R, S] by linear algebra on the node
+# bases; the lattice reads the same facts off its covers.
+
+def module_sum_rows(lat, i, j):
+    return rref(lat.ext.ambient.field, lat.nodes[i].basis + lat.nodes[j].basis)
+
+
+def compositum_rows(lat, i, j):
+    return ideal_mul_rows(lat.ext.ambient, lat.nodes[i].basis, lat.nodes[j].basis)
+
+
+def meet_rows(lat, i, j):
+    A = lat.ext.ambient
+    return intersect_rowspaces(A.field, lat.nodes[i].basis, lat.nodes[j].basis, A.dim)
+
+
+def contains_leq(lat, i, j):
+    a, b = lat.nodes[i], lat.nodes[j]
+    return a.dim <= b.dim and b.contains(a)
+
+
+def reference_distributivity(lat):
+    """Both distributive identities over all node triples, on meet and join
+    tables made by linear algebra; the first failing triple."""
+    n = len(lat.nodes)
+    index = {node.basis: k for k, node in enumerate(lat.nodes)}
+    pairs = list(itertools.product(range(n), repeat=2))
+    meet = {(i, j): index[meet_rows(lat, i, j)] for i, j in pairs}
+    join = {(i, j): index[compositum_rows(lat, i, j)] for i, j in pairs}
+    for b, c, d in itertools.product(range(n), repeat=3):
+        if meet[b, join[c, d]] != join[meet[b, c], meet[b, d]]:
+            return False, (lat.nodes[b], lat.nodes[c], lat.nodes[d])
+        if join[b, meet[c, d]] != meet[join[b, c], join[b, d]]:
+            return False, (lat.nodes[b], lat.nodes[c], lat.nodes[d])
+    return True, None
 
 
 def test_enumerate_interval_frozen_regression(ext44):
@@ -211,8 +259,6 @@ def test_is_delta_extension(ext44, ext64, ext_chain3):
 def _delta_by_compositum(lat):
     """The definition: the first pair of nodes whose module sum differs from
     their compositum."""
-    from ringlat.lattice import compositum_rows, module_sum_rows
-
     for i, j in itertools.combinations_with_replacement(range(len(lat.nodes)), 2):
         if module_sum_rows(lat, i, j) != compositum_rows(lat, i, j):
             return False, (lat.nodes[i], lat.nodes[j])
@@ -221,20 +267,63 @@ def _delta_by_compositum(lat):
 
 def test_is_delta_extension_matches_compositum_definition():
     """Same answer and same witness as the definition, on the goldens and on
-    seeded instances over GF(2) and GF(3), several of them not delta."""
+    seeded instances over GF(2) and GF(3), several of them not delta; on the
+    same instances the order, meets and joins read off the covers are
+    containment, intersection and compositum, and distributivity gives the
+    verdict and witness of the scan over tables made by linear algebra."""
     from ringlat.cli import load_instance
     from ringlat.gen import GenSpec, random_extension
 
-    golden = pathlib.Path(__file__).parent / "golden"
-    exts = [load_instance(str(path)) for path in sorted(golden.glob("*.json"))]
+    exts = [load_instance(str(path)) for path in sorted(GOLDEN.glob("*.json"))]
     for q in (2, 3):
         exts += random_extension(GenSpec(seed=4, q=q, max_dim=5, count=5))
-    verdicts = []
+    verdicts, distributive = [], []
     for ext in exts:
         lat = enumerate_interval(ext)
         verdicts.append(is_delta_extension(lat))
         assert verdicts[-1] == _delta_by_compositum(lat)
+        bases = [node.basis for node in lat.nodes]
+        for i, j in itertools.product(range(len(lat.nodes)), repeat=2):
+            assert lat.leq(i, j) == contains_leq(lat, i, j)
+            assert bases[lat.meet(i, j)] == meet_rows(lat, i, j)
+            assert bases[lat.join(i, j)] == compositum_rows(lat, i, j)
+        distributive.append(check_distributivity(lat))
+        assert distributive[-1] == reference_distributivity(lat)
     assert sum(not ok for ok, _ in verdicts) >= 4
+    assert sum(not ok for ok, _ in distributive) >= 4
+
+
+def test_order_queries_make_no_linear_algebra(monkeypatch):
+    """On the golden lattices the order queries read the masks built from the
+    covers: no rref, no row-space intersection, no containment test."""
+    from ringlat.cli import load_instance
+
+    lats = [enumerate_interval(load_instance(str(path)))
+            for path in sorted(GOLDEN.glob("*.json"))]
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("rref", "intersect_rowspaces"):
+        original = getattr(gfq, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("ringlat")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(original))
+    monkeypatch.setattr(Subspace, "contains", counting(Subspace.contains))
+    for lat in lats:
+        n = len(lat.nodes)
+        is_delta_extension(lat)
+        check_distributivity(lat)
+        first_incomparable_pair(lat)
+        for i, j in itertools.product(range(n), repeat=2):
+            lat.leq(i, j)
+        for node in lat.nodes:
+            is_pinched_at(lat, node)
+    assert calls == []
 
 
 def test_check_distributivity(ext44, ext64, ext_chain3):
@@ -250,15 +339,9 @@ def test_remark_finite_field_analogue_shape(ext64):
     lat = enumerate_interval(ext64)
     t1 = [n for n in lat.nodes if n.dim == 2][0]
     t2 = [n for n in lat.nodes if n.dim == 3][0]
-    from ringlat.lattice import compositum_rows, module_sum_rows
-
     i1, i2 = lat.index_of(t1), lat.index_of(t2)
     assert compositum_rows(lat, i1, i2) == lat.nodes[lat.top].basis
-    from ringlat.gfq import intersect_rowspaces
-
-    met = intersect_rowspaces(lat.ext.ambient.field, t1.basis, t2.basis,
-                              lat.ext.ambient.dim)
-    assert met == lat.nodes[lat.bottom].basis
+    assert meet_rows(lat, i1, i2) == lat.nodes[lat.bottom].basis
     assert not is_chained(lat)
 
 
