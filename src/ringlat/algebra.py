@@ -11,7 +11,7 @@ coordinates: ring/Nil is the set of normal forms modulo the nilradical, and
 each local factor is recorded by its idempotent and its dimension.  The
 localization of an extension at a maximal ideal is a subinterval of it, in
 the same ambient.  Only a quotient is a new Algebra, connected to its
-source by its projection.
+source by its projection, and only the quotient-interval check builds one.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -348,16 +348,6 @@ def conductor(R, S):
 def ideal_mul_rows(A, rows_a, rows_b):
     """Row basis of the product span {a*b}."""
     return rref(A.field, [A.mul(a, b) for a in rows_a for b in rows_b])
-
-
-def ideal_power_rows(A, ring_rows, m_rows, k):
-    """Row basis of M**k; k = 0 gives the whole ring."""
-    if k == 0:
-        return rref(A.field, ring_rows)
-    cur = rref(A.field, m_rows)
-    for _ in range(k - 1):
-        cur = ideal_mul_rows(A, cur, m_rows)
-    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,18 @@ def _at_least(least):
     return parse
 
 
+def _spec_value(name):
+    """The type of a gen option: a whole number that GenSpec accepts as name."""
+    def parse(text):
+        try:
+            value = int(text)
+            GenSpec(seed=0, **{name: value})
+        except ValueError as ex:
+            raise argparse.ArgumentTypeError(str(ex)) from None
+        return value
+    return parse
+
+
 def make_parser():
     parser = _Parser(
         prog="ringlat",
@@ -478,9 +490,9 @@ def make_parser():
 
     def gen_options(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--q", type=int, default=2)
-        p.add_argument("--max-dim", type=int, default=5)
-        p.add_argument("--count", type=int, default=1)
+        p.add_argument("--q", type=_spec_value("q"), default=2)
+        p.add_argument("--max-dim", type=_spec_value("max_dim"), default=5)
+        p.add_argument("--count", type=_spec_value("count"), default=1)
 
     p = sub.add_parser("analyze", help="full analysis report")
     common(p)
@@ -522,8 +534,8 @@ def make_parser():
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and not args.path and not args.gen:
-        parser.error("check needs an instance path or --gen")
+    if args.command == "check" and (args.path is None) == (args.gen is None):
+        parser.error("check needs exactly one of an instance path and --gen")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -47,11 +47,13 @@ class GenSpec:
     count: int = 1
 
     def __post_init__(self):
-        prime_power(self.q)
+        GF(*prime_power(self.q))  # raises unless q names a field GF can build
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}; pick one of {SHAPES}")
         if not 1 <= self.max_dim <= 8:
             raise ValueError("max_dim must lie in 1..8")
+        if self.count < 0:
+            raise ValueError("count must be 0 or more")
 
 
 def staircase_monomials(rng, size):

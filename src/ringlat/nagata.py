@@ -2,10 +2,12 @@
 
 The extended pair is never materialized: each of its invariants equals a
 base-side quantity, and this module computes those quantities and the
-finiteness criterion.  For a local subintegral pair reduced mod its
-conductor, the filtration rings R_i = R + S*M^i and ideals M_i = M + S*M^i
-drive three equivalent chainedness conditions that are computed here by
-independent routes so the test suite can assert their agreement.
+finiteness criterion.  For a subintegral pair whose bottom ring is local
+mod the conductor C, the filtration rings R_i = R + S*M^i and ideals
+M_i = M + S*M^i drive three equivalent chainedness conditions that are
+computed here by independent routes so the test suite can assert their
+agreement.  Every ring and ideal of the filtration contains C, so the pair
+mod C is read in place, in the pair's own ambient: no quotient is built.
 """
 
 from __future__ import annotations
@@ -17,15 +19,14 @@ from .algebra import (
     Extension,
     Subalgebra,
     conductor,
-    ideal_power_rows,
+    ideal_mul_rows,
     localize_extension,
     module_length,
-    quotient,
     support,
 )
 from .analysis import Analysis
 from .canonical import is_subintegral, lambda_invariant, seminormalization
-from .gfq import rref
+from .gfq import contains_rows, rref
 from .lattice import interval_length, is_arithmetic, is_chained
 
 TRANSFER_NOTES = {
@@ -37,33 +38,35 @@ TRANSFER_NOTES = {
 }
 
 
+def _powers(A, M_rows, C):
+    """M, M^2, ..., M^n, each the product of the last with M, down to the
+    first power inside the ideal C: n is the nilpotency index of M mod C."""
+    powers = [M_rows]
+    while not all(C.contains_vector(v) for v in powers[-1]):
+        if len(powers) > A.dim:
+            raise AlgebraError("nilpotency index failed to stabilize")
+        powers.append(ideal_mul_rows(A, powers[-1], M_rows))
+    return powers
+
+
 def nilpotency_index(ext, an=None):
     """Smallest n >= 1 with M**n inside the conductor, for local R."""
-    R, A = ext.bottom, ext.ambient
-    dec = (an or Analysis()).decomposition(R)
+    dec = (an or Analysis()).decomposition(ext.bottom)
     if not dec.is_local:
         raise AlgebraError("nilpotency index requires a local bottom ring")
-    M = dec.factors[0].maximal_ideal
-    C = conductor(R, ext.top)
-    n = 1
-    power = M.basis
-    while not all(C.contains_vector(v) for v in power):
-        n += 1
-        if n > A.dim + 1:
-            raise AlgebraError("nilpotency index failed to stabilize")
-        power = ideal_power_rows(A, R.basis, M.basis, n)
-    return n
+    C = conductor(ext.bottom, ext.top)
+    return len(_powers(ext.ambient, dec.factors[0].maximal_ideal.basis, C))
 
 
 @dataclass(frozen=True)
 class SubintegralLocalData:
-    """Conductor-reduced filtration data of a local subintegral pair."""
+    """Filtration data of a subintegral pair whose bottom is local mod its
+    conductor C, in the pair's own ambient: every row space contains C."""
 
-    reduced: Extension          # the pair mod its conductor, in a fresh ambient
-                                # unless the conductor is zero
-    maximal_ideal_rows: tuple   # M of the reduced bottom ring
-    conductor_dim: int          # dimension of the conductor that was removed
-    n: int                      # index of nilpotency of M in the reduced ring
+    ext: Extension              # the pair itself
+    maximal_ideal_rows: tuple   # M: the one maximal ideal of R containing C
+    conductor_dim: int          # dimension of C
+    n: int                      # least n >= 1 with M^n inside C
     r_chain: tuple              # rows of R_i = R + S*M^i, i = 0..n
     m_chain: tuple              # rows of M_i = M + S*M^i, i = 0..n
     layer_lengths: tuple        # L_R(M_i / M_{i+1}) for i = 1..n-1
@@ -71,50 +74,41 @@ class SubintegralLocalData:
 
     @property
     def residue_is_field(self):
-        """True when the reduced bottom ring is a field (M = 0)."""
-        return not self.maximal_ideal_rows
+        """True when R/C is a field, that is M = C."""
+        return len(self.maximal_ideal_rows) == self.conductor_dim
 
 
 def filtration_data(ext, an=None):
-    """Reduce a subintegral pair mod its conductor, and build the filtration
-    of the reduced pair, whose bottom must be local.
+    """The filtration of a subintegral pair whose bottom R is local mod the
+    conductor C: exactly one maximal ideal M of R contains C.
 
-    A localization [R + (1-e)S, S] qualifies: its conductor contains (1-e)S,
-    so it reduces to the localized pair mod the conductor.
+    This is the filtration of R/C <= S/C, read in place: R_i and M_i contain
+    C, and lengths of R-modules killed by C are their lengths over R/C.  A
+    localization [R + (1-e)S, S] qualifies: its conductor contains (1-e)S.
     """
     an = an or Analysis()
-    R, S = ext.bottom, ext.top
+    R, S, A = ext.bottom, ext.top, ext.ambient
     if not is_subintegral(ext, an):
         raise AlgebraError("filtration data requires a subintegral pair")
     C = conductor(R, S)
-    if C.dim:
-        qm = quotient(S, C.basis)
-        A2 = qm.algebra
-        R2 = Subalgebra(A2, qm.project_rows(R.basis), check=False)
-        red = Extension(R2)
-    else:
-        red = ext
-        A2, R2 = ext.ambient, R
-    if conductor(R2, red.top).dim:
-        raise AlgebraError("conductor did not reduce to zero")
-    dec = an.decomposition(R2)
-    if not dec.is_local:
+    over_c = [f.maximal_ideal for f in an.decomposition(R).factors
+              if f.maximal_ideal.contains(C)]
+    if len(over_c) != 1:
         raise AlgebraError("filtration data requires a bottom ring local mod its conductor")
-    M_rows = dec.factors[0].maximal_ideal.basis
-    n = nilpotency_index(red, an)
-    F = A2.field
-    s_basis = red.top.basis
+    M_rows = over_c[0].basis
+    powers = _powers(A, M_rows, C)
+    F = A.field
     r_list, m_list = [], []
-    for i in range(n + 1):
-        mi_pow = ideal_power_rows(A2, R2.basis, M_rows, i)
-        smi = rref(F, [A2.mul(s, m) for s in s_basis for m in mi_pow])
-        r_list.append(rref(F, R2.basis + smi))
+    for mi in [R.basis] + powers:
+        smi = ideal_mul_rows(A, S.basis, mi)
+        r_list.append(rref(F, R.basis + smi))
         m_list.append(rref(F, M_rows + smi))
-    layers = tuple(module_length(R2, m_list[i], m_list[i + 1], an)
+    n = len(powers)
+    layers = tuple(module_length(R, m_list[i], m_list[i + 1], an)
                    for i in range(1, n))
-    sm_over_m = module_length(R2, m_list[1], M_rows, an)
+    sm_over_m = module_length(R, m_list[1], M_rows, an)
     data = SubintegralLocalData(
-        reduced=red,
+        ext=ext,
         maximal_ideal_rows=M_rows,
         conductor_dim=C.dim,
         n=n,
@@ -128,9 +122,7 @@ def filtration_data(ext, an=None):
 
 
 def _check_filtration(data):
-    F = data.reduced.ambient.field
-    from .gfq import contains_rows
-
+    F = data.ext.ambient.field
     for hi, lo in zip(data.m_chain, data.m_chain[1:]):
         if not contains_rows(F, hi, lo):
             raise AlgebraError("filtration ideals are not descending")
@@ -152,10 +144,8 @@ def filtration_conditions(data, an=None):
     """
     c1 = data.sm_over_m_length == data.n - 1
     c2 = all(l == 1 for l in data.layer_lengths)
-    A2 = data.reduced.ambient
-    r1 = Subalgebra(A2, data.r_chain[1], check=False)
-    sub = Extension(data.reduced.bottom, r1)
-    c3 = is_chained((an or Analysis()).lattice(sub))
+    r1 = Subalgebra(data.ext.ambient, data.r_chain[1], check=False)
+    c3 = is_chained((an or Analysis()).lattice(Extension(data.ext.bottom, r1)))
     return c1, c2, c3
 
 
@@ -178,9 +168,10 @@ def nagata_has_fip(ext, an=None):
 def fip_subintegral_crosscheck(ext, an=None):
     """Two independent finiteness criteria for a subintegral pair.
 
-    Verdict A is chainedness of every localization.  Verdict B localizes,
-    reduces mod the conductor, and tests [R_2, S] chained together with
-    L(SM/M) = n - 1, with the field case handled directly on [R, S].
+    Verdict A is chainedness of every localization.  Verdict B builds the
+    filtration of each localization [R_M, S] and tests [R_2, S] chained
+    together with L(SM/M) = n - 1; when R_M is a field mod the conductor
+    it tests [R_M, S] itself, the lattice verdict A reads.
     """
     an = an or Analysis()
     if not is_subintegral(ext, an):
@@ -190,11 +181,10 @@ def fip_subintegral_crosscheck(ext, an=None):
     for M in support(ext, an):
         data = filtration_data(localize_extension(ext, M, an), an)
         if data.residue_is_field:
-            ok = is_chained(an.lattice(data.reduced))
+            ok = is_chained(an.lattice(data.ext))
         else:
-            A2 = data.reduced.ambient
-            r2 = Subalgebra(A2, data.r_chain[2], check=False)
-            chained = is_chained(an.lattice(Extension(r2, data.reduced.top)))
+            r2 = Subalgebra(data.ext.ambient, data.r_chain[2], check=False)
+            chained = is_chained(an.lattice(Extension(r2, data.ext.top)))
             ok = chained and data.sm_over_m_length == data.n - 1
         if not ok:
             verdict_b = False

@@ -135,7 +135,19 @@ def test_exit_code_budget(write):
     ["analyze", str(GOLDEN / "y4.json"), "--budget", "-1"],
     ["check"],
     ["analyze", str(GOLDEN / "y4.json"), "--threads", "0"],
-], ids=["unknown-option", "non-integer", "negative-budget", "bare-check", "zero-threads"])
+    ["gen", "--q", "6"],
+    ["gen", "--q", "1"],
+    ["gen", "--q", "4099"],
+    ["gen", "--q", "1024"],
+    ["check", "--gen", "mixed", "--q", "6"],
+    ["gen", "--max-dim", "-2"],
+    ["check", "--gen", "mixed", "--max-dim", "9"],
+    ["gen", "--count", "-1"],
+    ["check", str(GOLDEN / "y4.json"), "--gen", "mixed"],
+], ids=["unknown-option", "non-integer", "negative-budget", "bare-check", "zero-threads",
+        "q-not-prime-power", "q-one", "q-over-field-bound", "q-no-default-modulus",
+        "check-q-not-prime-power", "negative-max-dim", "max-dim-over-8",
+        "negative-count", "check-path-and-gen"])
 def test_usage_error_exits_1(args):
     """A usage error has the parse/validation status 1, not the budget status
     2, with argparse's usage text on stderr."""

@@ -67,6 +67,10 @@ def test_spec_validation():
         GenSpec(seed=0, shape="nope")
     with pytest.raises(ValueError):
         GenSpec(seed=0, max_dim=40)
+    with pytest.raises(ValueError):
+        GenSpec(seed=0, q=1024)  # GF(2^10) has no default modulus
+    with pytest.raises(ValueError):
+        GenSpec(seed=0, count=-1)
 
 
 def test_staircases_are_downward_closed():
