@@ -355,26 +355,19 @@ def ideal_mul_rows(A, rows_a, rows_b):
 
 
 def nilradical(ring):
-    """Ideal of nilpotents, via the kernel of x -> x**(p^m) over GF(p)."""
+    """Ideal of nilpotents: the kernel of x -> x**Q over GF(q).
+
+    Q is the least power of q with Q >= dim ring, starting from Q = 1.  As a
+    power of q, Q makes x -> x**Q GF(q)-linear, and a nilpotent x of the
+    ring has x**dim = 0, so one kernel of the images of the basis suffices.
+    """
     A = ring.ambient
     F = A.field
-    d = ring.dim
-    pm = 1
-    while pm < d:
-        pm *= F.p
-    # GF(p)-basis of the ring: scalar powers y^j times each basis row
-    fp_scalars = [F._encode([1 if k == j else 0 for k in range(F.e)])
-                  for j in range(F.e)]
-    fp_basis = [vscale(F, s, r) for r in ring.basis for s in fp_scalars]
-    Fp = F.prime_field()
-    constraint_rows = []
-    for v in fp_basis:
-        w = A.pow(v, pm)
-        digits = []
-        for c in w:
-            digits.extend(F.element_digits(c))
-        constraint_rows.append(tuple(digits))
-    rows = [lincomb(F, coeffs, fp_basis) for coeffs in gfq.left_kernel(Fp, constraint_rows)]
+    Q = 1
+    while Q < ring.dim:
+        Q *= F.q
+    images = [A.pow(b, Q) for b in ring.basis]
+    rows = [lincomb(F, coeffs, ring.basis) for coeffs in gfq.left_kernel(F, images)]
     return Ideal(ring, rows)
 
 
@@ -598,26 +591,24 @@ def localize_extension(ext, M, an=None):
 
 def support(ext, an=None):
     """Maximal ideals of R at which the localized extension is nontrivial."""
-    R, S, A = ext.bottom, ext.top, ext.ambient
-    F = A.field
-    dec = (an or Analysis()).decomposition(R)
+    S, A = ext.top, ext.ambient
+    dec = (an or Analysis()).decomposition(ext.bottom)
     out = []
     for f in dec.factors:
-        e = f.idempotent
-        dim_r = len(rref(F, [A.mul(e, r) for r in R.basis]))
-        dim_s = len(rref(F, [A.mul(e, s) for s in S.basis]))
-        if dim_r != dim_s:
+        if len(rref(A.field, [A.mul(f.idempotent, s) for s in S.basis])) != f.dim:
             out.append(f.maximal_ideal)
     out.sort(key=lambda m: m.basis)
     return tuple(out)
 
 
 def module_length(R, e_rows, f_rows=(), an=None):
-    """Length of E/F as an R-module, via the radical filtration of R.
+    """Length of E/F as an R-module, one dimension count per local factor.
 
     E and F are nested R-stable subspaces of the ambient algebra, given by
-    row bases.  Each radical layer is split along the idempotents of R and
-    measured over the residue field of the matching local factor.
+    row bases.  The idempotents e of R split E/F into the modules eE/eF over
+    the local factors eR.  The one simple eR-module is its residue field,
+    whose GF(q)-dimension is the residue degree, as GF(q)*1 lies in R; so
+    eE/eF has length (dim eE - dim eF) / residue degree.
     """
     A = R.ambient
     F = A.field
@@ -631,24 +622,15 @@ def module_length(R, e_rows, f_rows=(), an=None):
             for x in rows:
                 if not in_span(F, rows, A.mul(r, x)):
                     raise AlgebraError("module subspace not stable under the ring")
-    dec = (an or Analysis()).decomposition(R)
-    rad = dec.nilradical
     total = 0
-    cur = e_rows
-    while len(cur) > len(f_rows):
-        nxt = rref(F, [A.mul(j, x) for j in rad.basis for x in cur] + list(f_rows))
-        if len(nxt) >= len(cur):
-            raise InternalInvariantError("radical-filtration-stalled",
-                                         "radical filtration failed to descend")
-        for f in dec.factors:
-            e_part = rref(F, [A.mul(f.idempotent, x) for x in cur] + list(nxt))
-            layer_dim = len(e_part) - len(nxt)
-            if layer_dim % f.residue_degree:
-                raise InternalInvariantError(
-                    "layer-dimension-mismatch",
-                    "layer dimension not divisible by the residue degree")
-            total += layer_dim // f.residue_degree
-        cur = nxt
+    for f in (an or Analysis()).decomposition(R).factors:
+        part_dim = (len(rref(F, [A.mul(f.idempotent, x) for x in e_rows]))
+                    - len(rref(F, [A.mul(f.idempotent, x) for x in f_rows])))
+        if part_dim % f.residue_degree:
+            raise InternalInvariantError(
+                "layer-dimension-mismatch",
+                "factor dimension not divisible by the residue degree")
+        total += part_dim // f.residue_degree
     return total
 
 

@@ -11,7 +11,8 @@ linear algebra and charge nothing.  A charge the budget cannot cover raises
 An :class:`Analysis` also memoizes by value (a ring is its ambient algebra
 and its canonical basis, so equal rings share one entry) the lattice of each
 interval, the local decomposition of each ring, the canonical decomposition
-of each interval, and the minimal-step kind and crucial ideal of each cover
+of each interval, the Nagata filtration of each subintegral pair local mod
+its conductor, and the minimal-step kind and crucial ideal of each cover
 edge T < U.  A localization is a subinterval of its pair, cheap to rebuild,
 whose lattice the interval memo shares.  The cache lives as long as the
 object: the CLI makes one per command, and a library function called
@@ -72,6 +73,11 @@ class Analysis:
         """The canonical decomposition R <= +R <= tR <= S of ext."""
         from .canonical import canonical_decomposition
         return self._fact(("canonical", ext), lambda: canonical_decomposition(ext, an=self))
+
+    def filtration(self, ext):
+        """The Nagata filtration of a subintegral pair local mod its conductor."""
+        from .nagata import filtration_data
+        return self._fact(("filtration", ext), lambda: filtration_data(ext, self))
 
     def edge_kind(self, T, U):
         """The minimal-step kind (inert, decomposed or ramified) of a cover T < U."""

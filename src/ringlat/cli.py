@@ -60,7 +60,7 @@ from .lattice import (
     quotient_interval_check,
     to_dot,
 )
-from .nagata import filtration_conditions, filtration_data, fip_subintegral_crosscheck, nagata_report
+from .nagata import filtration_conditions, fip_subintegral_crosscheck, nagata_report
 
 
 class ParseError(ValueError):
@@ -384,7 +384,7 @@ def _check_suite(ext, args):
         a, b = fip_subintegral_crosscheck(ext, an)
         yield "fip-criteria-agreement", a == b, f"arithmetic={a} filtration={b}"
         for M in support(ext, an):
-            data = filtration_data(localize_extension(ext, M, an), an)
+            data = an.filtration(localize_extension(ext, M, an))
             if not data.residue_is_field:
                 c1, c2, c3 = filtration_conditions(data, an)
                 yield "filtration-tri-equivalence", c1 == c2 == c3, \

@@ -18,6 +18,7 @@ mod p, over an extension field they index local table rows.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import mul
 
 MAX_TABLE_Q = 4096  # the largest field GF accepts, and so the parser's field-size cap
@@ -36,10 +37,17 @@ def is_prime(n):
 
 
 def prime_power(q):
-    """Split q = p**e with p prime, or raise ValueError."""
+    """Split q = p**e with p prime, or raise ValueError.
+
+    A q above MAX_TABLE_Q names no field GF builds and is refused before
+    any division.  Trial division stops at isqrt(q): a q with no divisor
+    up to there is prime.
+    """
     if q < 2:
         raise ValueError(f"not a prime power: {q}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    if q > MAX_TABLE_Q:
+        raise ValueError(f"field size {q} exceeds supported bound {MAX_TABLE_Q}")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     e, m = 0, q
     while m > 1:
         if m % p:
@@ -175,10 +183,6 @@ class GF:
         if not hasattr(self, "_prime_field"):
             self._prime_field = GF(self.p)
         return self._prime_field
-
-    def element_digits(self, a):
-        """Prime-field coordinates of a field element (length e)."""
-        return tuple(self._digits(a))
 
     def same_field(self, other):
         return (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)

@@ -179,7 +179,7 @@ def fip_subintegral_crosscheck(ext, an=None):
     verdict_a, _ = is_arithmetic(ext, an)
     verdict_b = True
     for M in support(ext, an):
-        data = filtration_data(localize_extension(ext, M, an), an)
+        data = an.filtration(localize_extension(ext, M, an))
         if data.residue_is_field:
             ok = is_chained(an.lattice(data.ext))
         else:

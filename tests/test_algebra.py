@@ -22,6 +22,7 @@ from ringlat.algebra import (
     quotient,
     support,
 )
+from ringlat.analysis import Analysis
 from ringlat.gfq import GF, rref
 
 
@@ -196,11 +197,12 @@ def test_nilradical_examples(F2, T44, F4alg):
     assert nilradical(P.full()).basis == ((0, 0, 1),)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_nilradical_matches_brute_force(seed):
+@pytest.mark.parametrize("seed, q", [pytest.param(seed, q, id=str(seed) if q == 2 else f"q{q}-{seed}")
+                                     for q in (2, 3, 4, 9) for seed in range(6)])
+def test_nilradical_matches_brute_force(seed, q):
     from ringlat.gen import GenSpec, random_extension
 
-    spec = GenSpec(seed=seed, q=2, max_dim=4, shape="mixed", count=3)
+    spec = GenSpec(seed=seed, q=q, max_dim=3 if q == 9 else 4, shape="mixed", count=3)
     for ext in random_extension(spec):
         A = ext.ambient
         if A.field.q ** A.dim > 4096:
@@ -210,6 +212,35 @@ def test_nilradical_matches_brute_force(seed):
         got = sorted(gfq.span_vectors(A.field, nil.basis)) if nil.dim else []
         got = sorted(set(got) | {A.zero})
         assert got == expected
+
+
+def prime_field_nilradical(ring):
+    """Reference nilradical: the kernel of x -> x**(p^m) over the prime field
+    GF(p), on the GF(p)-basis y^j * b and the base-p digits of each image."""
+    A = ring.ambient
+    F = A.field
+    p = F.p
+    pm = 1
+    while pm < ring.dim:
+        pm *= p
+    fp_basis = [gfq.vscale(F, p ** j, b) for b in ring.basis for j in range(F.e)]
+    digit_rows = [tuple(c // p ** i % p for c in A.pow(v, pm) for i in range(F.e))
+                  for v in fp_basis]
+    return rref(F, [gfq.lincomb(F, k, fp_basis) for k in gfq.left_kernel(GF(p), digit_rows)])
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_nilradical_matches_prime_field_route_on_every_node(q):
+    """Over e > 1 the GF(q) kernel and the GF(p) digit kernel are two routes."""
+    from ringlat.gen import GenSpec, random_extension
+
+    compared = 0
+    for seed in range(2):
+        for ext in random_extension(GenSpec(seed=seed, q=q, max_dim=3, shape="mixed", count=8)):
+            for node in Analysis().lattice(ext).nodes:
+                assert nilradical(node).basis == prime_field_nilradical(node)
+                compared += 1
+    assert compared >= 40
 
 
 def test_local_decomposition_invariants(F2, T44, F4alg):
@@ -324,6 +355,51 @@ def test_module_length_additive_on_nested_triples(F2, T44):
                     module_length(K, big, mid) + module_length(K, mid, small))
 
 
+def radical_filtration_length(R, e_rows, f_rows, an):
+    """Reference length of E/F: walk E = E_0 > E_1 = Nil(R)E_0 + F > ... > F,
+    splitting each layer along the idempotents of R."""
+    A = R.ambient
+    F = A.field
+    dec = an.decomposition(R)
+    f_rows = rref(F, f_rows)
+    total, cur = 0, rref(F, e_rows)
+    while len(cur) > len(f_rows):
+        nxt = rref(F, [A.mul(j, x) for j in dec.nilradical.basis for x in cur] + list(f_rows))
+        assert len(nxt) < len(cur)
+        for f in dec.factors:
+            layer = len(rref(F, [A.mul(f.idempotent, x) for x in cur] + list(nxt))) - len(nxt)
+            assert layer % f.residue_degree == 0
+            total += layer // f.residue_degree
+        cur = nxt
+    return total
+
+
+def test_module_length_matches_radical_filtration():
+    """The closed form against the radical filtration, on E > F drawn from
+    S, R, the conductor, Nil(R), Nil(S), the maximal ideals of R and 0, at
+    every node R of seeded intervals [R0, S]."""
+    from ringlat.gen import GenSpec, random_extension
+
+    non_local = extension_field = 0
+    for q in (2, 3, 4, 9):
+        for shape in ("product-of-locals", "mixed"):
+            for ext in random_extension(GenSpec(seed=7, q=q, max_dim=4, shape=shape, count=4)):
+                an = Analysis()
+                S, F = ext.top, ext.ambient.field
+                for R in an.lattice(ext).nodes:
+                    dec = an.decomposition(R)
+                    modules = {S.basis, R.basis, conductor(R, S).basis, dec.nilradical.basis,
+                               an.decomposition(S).nilradical.basis, ()}
+                    modules |= {m.basis for m in dec.maximal_ideals}
+                    for E, sub in itertools.permutations(modules, 2):
+                        if all(gfq.in_span(F, E, v) for v in sub):
+                            assert module_length(R, E, sub, an) == \
+                                radical_filtration_length(R, E, sub, an)
+                            non_local += not dec.is_local
+                            extension_field += F.e > 1
+    assert non_local >= 200 and extension_field >= 200
+
+
 def test_module_length_rejects_unstable(F2, T44):
     R = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     with pytest.raises(AlgebraError):
@@ -334,7 +410,6 @@ def test_localize_extension(ext_f2xf4, F2, F4alg, monkeypatch):
     """The localization at M is the subinterval of [R, S] of the nodes N
     with (1-e)N = (1-e)S, in the same ambient, and building it constructs
     no Algebra."""
-    from ringlat.analysis import Analysis
     from ringlat.lattice import enumerate_interval
 
     S = make_product(make_poly_quotient(F2, (0, 0, 0, 1)), F4alg)

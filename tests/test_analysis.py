@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ringlat import algebra, canonical, lattice
+from ringlat import algebra, canonical, lattice, nagata
 from ringlat.algebra import Extension, Subalgebra
 from ringlat.analysis import Analysis, BudgetExceeded
 from ringlat.cli import main
@@ -87,6 +87,17 @@ def test_nilradical_once_per_distinct_ring(write, monkeypatch):
         lambda args, kwargs, result: calls.update([ring_content(args[0])]))
     run(["analyze", write(Y6), "--json"])
     assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["y5", "y7-over-y2", "y4"])
+def test_check_builds_each_filtration_once(monkeypatch, name):
+    """check reads the filtration of a localization from the analysis for
+    both the two-criteria verdict and the tri-equivalence rows."""
+    calls = []
+    spy(monkeypatch, nagata, "filtration_data",
+        lambda args, kwargs, result: calls.append(result))
+    run(["check", str(GOLDEN / f"{name}.json")])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["y5", "product", "f9-mixed"])

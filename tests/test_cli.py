@@ -138,6 +138,7 @@ def test_exit_code_budget(write):
     ["gen", "--q", "6"],
     ["gen", "--q", "1"],
     ["gen", "--q", "4099"],
+    ["gen", "--q", "1000000007"],
     ["gen", "--q", "1024"],
     ["check", "--gen", "mixed", "--q", "6"],
     ["gen", "--max-dim", "-2"],
@@ -145,8 +146,8 @@ def test_exit_code_budget(write):
     ["gen", "--count", "-1"],
     ["check", str(GOLDEN / "y4.json"), "--gen", "mixed"],
 ], ids=["unknown-option", "non-integer", "negative-budget", "bare-check", "zero-threads",
-        "q-not-prime-power", "q-one", "q-over-field-bound", "q-no-default-modulus",
-        "check-q-not-prime-power", "negative-max-dim", "max-dim-over-8",
+        "q-not-prime-power", "q-one", "q-over-field-bound", "q-large-prime",
+        "q-no-default-modulus", "check-q-not-prime-power", "negative-max-dim", "max-dim-over-8",
         "negative-count", "check-path-and-gen"])
 def test_usage_error_exits_1(args):
     """A usage error has the parse/validation status 1, not the budget status

@@ -67,8 +67,18 @@ def test_reducible_modulus_rejected():
 def test_prime_power():
     assert prime_power(8) == (2, 3)
     assert prime_power(9) == (3, 2)
-    with pytest.raises(ValueError):
-        prime_power(12)
+    assert prime_power(2) == (2, 1)
+    assert prime_power(4) == (2, 2)
+    assert prime_power(4093) == (4093, 1)  # prime: no divisor up to isqrt(q)
+    assert prime_power(4096) == (2, 12)
+    assert prime_power(3 ** 7) == (3, 7)
+    assert prime_power(61 * 61) == (61, 2)  # the divisor is isqrt(q) itself
+    for q in (0, 1, 12, 4087):  # 4087 = 61 * 67
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(q)
+    for q in (4097, 1000000007):  # refused before any division
+        with pytest.raises(ValueError, match=f"field size {q} exceeds supported bound 4096"):
+            prime_power(q)
 
 
 def test_irreducible_poly_search():
