@@ -65,8 +65,8 @@ class Algebra:
         if len(self.one) != self.dim or any(len(row) != self.dim for row in self.table) \
                 or any(len(v) != self.dim for row in self.table for v in row):
             raise AlgebraError("structure constant table has inconsistent shape")
-        bad = [c for row in self.table for v in row for c in v
-               if not isinstance(c, int) or not 0 <= c < field.q]
+        scalars = [c for row in self.table for v in row for c in v] + list(self.one)
+        bad = [c for c in scalars if not isinstance(c, int) or not 0 <= c < field.q]
         if bad:
             raise AlgebraError(f"scalar {bad[0]} outside range({field.q})")
         if check:

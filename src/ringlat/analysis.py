@@ -12,9 +12,10 @@ An :class:`Analysis` also memoizes by value (a ring is its ambient algebra
 and its canonical basis, so equal rings share one entry) the lattice of each
 interval, the local decomposition of each ring, the canonical decomposition
 of each interval, the Nagata filtration of each subintegral pair local mod
-its conductor, and the minimal-step kind and crucial ideal of each cover
-edge T < U.  A localization is a subinterval of its pair, cheap to rebuild,
-whose lattice the interval memo shares.  The cache lives as long as the
+its conductor, and the minimal-step kind of each cover edge T < U.  The
+crucial ideal of a cover needs no memo: ``check`` computes each one once,
+for all covers together.  A localization is a subinterval of its pair,
+cheap to rebuild, whose lattice the interval memo shares.  The cache lives as long as the
 object: the CLI makes one per command, and a library function called
 without one makes a fresh one, so a direct call computes everything for
 real.  The public functions behind the cache always compute; only the
@@ -83,8 +84,3 @@ class Analysis:
         """The minimal-step kind (inert, decomposed or ramified) of a cover T < U."""
         from .canonical import classify_minimal
         return self._fact(("edge kind", T, U), lambda: classify_minimal(T, U, an=self))
-
-    def crucial_ideal(self, T, U):
-        """The crucial ideal of a cover T < U, checked against its conductor."""
-        from .canonical import crucial_ideal
-        return self._fact(("crucial ideal", T, U), lambda: crucial_ideal(T, U, an=self))

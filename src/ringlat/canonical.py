@@ -7,7 +7,10 @@ subintegral / infra-integral / t-closed predicates, the canonical chain
 R <= +R <= tR <= S and the supremum of residual-extension lengths.  +R and tR
 come from closed forms, +R = R + Nil(S) and tR as one Frobenius kernel, and
 the canonical decomposition checks each against the nodes that its kinds of
-cover edges reach from R in the classified lattice.
+cover edges reach from R in the classified lattice.  The crucial ideal of a
+cover is a fact of that cover alone, computed once per cover; a maximal
+chain, a tuple of node indices, reads the kinds and crucial traces of its
+covers.
 """
 
 from __future__ import annotations
@@ -284,31 +287,20 @@ def classify_cover_edges(lat, an=None):
     return {(i, j): an.edge_kind(lat.nodes[i], lat.nodes[j]) for i, j in lat.covers}
 
 
+def crucial_traces(lat, an=None):
+    """The crucial ideal of every cover edge met with the bottom ring, keyed by
+    the edge index pair: the trace of a maximal chain is the set of its edges'."""
+    an = an or Analysis()
+    R = lat.ext.bottom
+    return {(i, j): intersect_with(R, crucial_ideal(lat.nodes[i], lat.nodes[j], an).basis)
+            for i, j in lat.covers}
+
+
 def census(edge_kinds):
     out = {INERT: 0, DECOMPOSED: 0, RAMIFIED: 0}
     for kind in edge_kinds.values():
         out[kind.kind] += 1
     return out
-
-
-def classify_chain(lat, chain, an=None):
-    """Fill the classification and crucial-ideal slots of a chain report."""
-    an = an or Analysis()
-    steps = []
-    traces = []
-    R = lat.ext.bottom
-    for i, j in zip(chain.nodes, chain.nodes[1:]):
-        steps.append(an.edge_kind(lat.nodes[i], lat.nodes[j]))
-        crux = an.crucial_ideal(lat.nodes[i], lat.nodes[j])
-        traces.append(intersect_with(R, crux.basis))
-    chain.steps = tuple(steps)
-    chain.crucial_traces = tuple(traces)
-    return chain
-
-
-def chain_trace_set(chain):
-    """The set of crucial ideals of the chain steps, met with the bottom ring."""
-    return frozenset(chain.crucial_traces)
 
 
 @dataclass(frozen=True)
@@ -326,12 +318,11 @@ class ChainCheckReport:
 
 
 def verify_chain_classification(lat, chain, an=None):
-    """Check a classified chain against the whole-pair predicates."""
+    """Check the kinds of the covers along a chain of node indices against the
+    whole-pair predicates."""
     an = an or Analysis()
-    ext = Extension(lat.nodes[chain.nodes[0]], lat.nodes[chain.nodes[-1]])
-    if chain.steps is None:
-        classify_chain(lat, chain, an)
-    kinds = [s.kind for s in chain.steps]
+    ext = Extension(lat.nodes[chain[0]], lat.nodes[chain[-1]])
+    kinds = [an.edge_kind(lat.nodes[i], lat.nodes[j]).kind for i, j in zip(chain, chain[1:])]
     all_inert = all(k == INERT for k in kinds)
     all_rd = all(k in (RAMIFIED, DECOMPOSED) for k in kinds)
     infra = is_infra_integral(ext, an)

@@ -35,9 +35,8 @@ from .algebra import (
 from .analysis import DEFAULT_BUDGET, Analysis, BudgetExceeded
 from .canonical import (
     census,
-    chain_trace_set,
-    classify_chain,
     classify_cover_edges,
+    crucial_traces,
     is_infra_integral,
     is_subintegral,
     is_t_closed,
@@ -363,7 +362,8 @@ def _check_suite(ext, args):
         f"infra={infra} all_rd={all_rd} t_closed={t_closed} all_inert={all_inert}"
 
     supp_set = frozenset(m.basis for m in support(ext, an))
-    traces = {chain_trace_set(classify_chain(lat, c, an)) for c in chains}
+    trace = crucial_traces(lat, an)
+    traces = {frozenset(trace[e] for e in zip(c, c[1:])) for c in chains}
     ok = len(traces) <= 1 and \
         (not chains or traces == {supp_set} or (len(lat.nodes) == 1 and not supp_set))
     yield "crucial-trace-invariance", ok, f"{len(chains)} chains"

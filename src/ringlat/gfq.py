@@ -76,10 +76,14 @@ class GF:
     """The finite field GF(p**e), polynomial basis mod a monic irreducible."""
 
     def __init__(self, p, e=1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
+        # q >= p and q >= 2**e: refuse before trial-dividing p or computing p**e
+        if p > MAX_TABLE_Q or (p > 1 and e >= MAX_TABLE_Q.bit_length()):
+            size = p if e == 1 else f"{p}^{e}"
+            raise ValueError(f"field size {size} exceeds supported bound {MAX_TABLE_Q}")
+        if not is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
         q = p ** e
         if q > MAX_TABLE_Q:
             raise ValueError(f"field size {q} exceeds supported bound {MAX_TABLE_Q}")

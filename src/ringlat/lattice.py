@@ -12,7 +12,9 @@ takes the lines it contains.  A brute-force scan over all subspaces serves as
 an independent oracle.  Both charge their analysis before they work: one unit
 per line vector of each node expanded, or per subspace to be scanned.  The
 order, meets, joins, the delta test and distributivity are read off bitmasks
-built from the covers, with no linear algebra.
+built from the covers, with no linear algebra.  A maximal chain is a plain
+tuple of node indices, a path of covers from bottom to top; whatever belongs
+to its steps belongs to the covers and is keyed by them.
 """
 
 from __future__ import annotations
@@ -77,15 +79,6 @@ class ExtensionLattice:
         if node not in self.nodes:
             raise AlgebraError("not a node of this lattice")
         return self.nodes.index(node)
-
-
-@dataclass
-class ChainReport:
-    """A maximal chain as node indices, with per-step classification slots."""
-
-    nodes: tuple
-    steps: tuple = None            # filled with MinimalKind records
-    crucial_traces: tuple = None   # crucial ideal of each step, met with R
 
 
 def _closure_tasks(ext, node, an):
@@ -154,11 +147,11 @@ def brute_force_interval(ext, an=None):
 
 def interval_length(lat):
     """Longest bottom-to-top path in the cover relation."""
-    return len(longest_chain(lat).nodes) - 1
+    return len(longest_chain(lat)) - 1
 
 
 def longest_chain(lat):
-    """A witness chain attaining the interval length."""
+    """A witness chain attaining the interval length, as a tuple of node indices."""
     dist = {lat.bottom: 0}
     parent = {lat.bottom: None}
     for i, j in lat.covers:  # nodes are sorted by dimension: topological order
@@ -170,7 +163,7 @@ def longest_chain(lat):
     chain = [lat.top]
     while parent[chain[-1]] is not None:
         chain.append(parent[chain[-1]])
-    return ChainReport(nodes=tuple(reversed(chain)))
+    return tuple(reversed(chain))
 
 
 def is_chained(lat):
@@ -239,8 +232,8 @@ def check_distributivity(lat):
 
 
 def maximal_chains(lat, limit=DEFAULT_BUDGET):
-    """The first limit bottom-to-top cover paths in depth-first order, and
-    whether there are more."""
+    """The first limit bottom-to-top cover paths in depth-first order, each a
+    tuple of node indices, and whether there are more."""
     chains = []
     stack = [(lat.bottom, (lat.bottom,))]
     while stack:
@@ -248,7 +241,7 @@ def maximal_chains(lat, limit=DEFAULT_BUDGET):
         if node == lat.top:
             if len(chains) == limit:
                 return chains, True
-            chains.append(ChainReport(nodes=path))
+            chains.append(path)
             continue
         for j in reversed(lat.up(node)):
             stack.append((j, path + (j,)))

@@ -193,7 +193,7 @@ def fip_subintegral_crosscheck(ext, an=None):
 
 @dataclass(frozen=True)
 class NagataReport:
-    """Invariants of the extended pair, with the licensing transfer notes."""
+    """Invariants of the extended pair; to_dict adds the licensing transfer notes."""
 
     fip: bool
     cardinality: int            # None when fip is False
@@ -201,7 +201,6 @@ class NagataReport:
     lambda_value: int
     witnesses: tuple
     criteria_agreement: dict
-    notes = TRANSFER_NOTES
 
     def to_dict(self):
         return {

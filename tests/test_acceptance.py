@@ -27,9 +27,8 @@ from ringlat.canonical import (
     INERT,
     RAMIFIED,
     canonical_decomposition,
-    chain_trace_set,
-    classify_chain,
     classify_cover_edges,
+    crucial_traces,
     is_infra_integral,
     is_subintegral,
     is_t_closed,
@@ -221,7 +220,8 @@ def test_criterion_7_crucial_trace_invariance(mixed_campaign, ex44):
         if len(chains) < 2:
             continue
         multi_chain += 1
-        traces = {chain_trace_set(classify_chain(lat, c, an)) for c in chains}
+        trace = crucial_traces(lat, an)
+        traces = {frozenset(trace[e] for e in zip(c, c[1:])) for c in chains}
         assert len(traces) == 1
         assert traces.pop() == frozenset(m.basis for m in support(ext))
     assert multi_chain >= 1

@@ -113,8 +113,9 @@ def test_analyze_makes_no_t_closed_call(monkeypatch, name):
 @pytest.mark.parametrize("name", ["product", "f9-mixed"])
 def test_check_classifies_each_edge_once(monkeypatch, name):
     """Every lattice, chain and t-closedness test of check that meets a cover
-    edge reads one memoized classification, and every maximal chain through
-    it one memoized crucial ideal."""
+    edge reads one memoized classification, and the crucial-trace test
+    computes the crucial ideal of each cover once, for every maximal chain
+    through it."""
     calls = {fn: Counter() for fn in ("classify_minimal", "crucial_ideal")}
     for fn, counter in calls.items():
         spy(monkeypatch, canonical, fn,
@@ -122,6 +123,16 @@ def test_check_classifies_each_edge_once(monkeypatch, name):
                 [(ring_content(args[0]), ring_content(args[1]))]))
     run(["check", str(GOLDEN / f"{name}.json")])
     assert all(c and max(c.values()) == 1 for c in calls.values())
+
+
+def test_check_meets_each_crucial_ideal_with_r_once(monkeypatch):
+    """check on the product golden meets R with the crucial ideal of each
+    cover once, not once per step of every maximal chain through it."""
+    calls = []
+    spy(monkeypatch, algebra, "intersect_with",
+        lambda args, kwargs, result: calls.append(result))
+    run(["check", str(GOLDEN / "product.json")])
+    assert len(calls) == 43
 
 
 @pytest.mark.parametrize("name", ["y5", "product", "f9-mixed"])

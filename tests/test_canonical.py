@@ -23,11 +23,10 @@ from ringlat.canonical import (
     RAMIFIED,
     canonical_decomposition,
     census,
-    chain_trace_set,
-    classify_chain,
     classify_cover_edges,
     classify_minimal,
     crucial_ideal,
+    crucial_traces,
     is_infra_integral,
     is_subintegral,
     is_t_closed,
@@ -342,7 +341,8 @@ def test_crucial_trace_invariance(ext44, ext64):
         lat = enumerate_interval(ext)
         chains, trunc = maximal_chains(lat)
         assert not trunc and len(chains) >= 2
-        traces = {chain_trace_set(classify_chain(lat, c, an)) for c in chains}
+        trace = crucial_traces(lat, an)
+        traces = {frozenset(trace[e] for e in zip(c, c[1:])) for c in chains}
         assert len(traces) == 1
         assert traces.pop() == frozenset(m.basis for m in support(ext))
 

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ringlat import cli
-from ringlat.cli import main, parse_instance, serialize_instance
+from ringlat.cli import ParseError, main, parse_instance, serialize_instance
 from ringlat.gfq import count_subspaces
 
 EX44 = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 0, 0, 0, 1]}}
@@ -120,6 +122,46 @@ def test_exit_code_validation_error(write):
                                  "one": [1, 0]}}}
     rc, _, err = run_cli(["analyze", write(doc)])
     assert rc == 1 and "commutative" in err
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once seconds of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("field, size", [
+    ({"p": 2305843009213693951, "e": 1}, "2305843009213693951"),
+    ({"p": 2, "e": 1000000000}, "2^1000000000"),
+    ({"p": 4099, "e": 2}, "4099^2"),
+], ids=["p-mersenne-61", "e-billion", "p-over-bound-squared"])
+def test_oversized_field_is_refused_at_once(field, size):
+    """p above 4096 or e above 12 is refused before p is trial-divided and
+    before p**e is computed."""
+    doc = {"field": field, "algebra": {"poly_quotient": [0, 1]}}
+    with deadline(1), pytest.raises(ParseError) as caught:
+        parse_instance(doc)
+    assert caught.value.path == "$.field"
+    assert str(caught.value) == f"$.field: field size {size} exceeds supported bound 4096"
+
+
+@pytest.mark.parametrize("p, e, one", [(2, 2, 5), (3, 1, 4)])
+def test_unit_out_of_range_exits_1(write, p, e, one):
+    """The unit vector is range-checked like the structure constants."""
+    doc = {"field": {"p": p, "e": e},
+           "algebra": {"table": {"dim": 1, "mul": [1], "one": [one]}}}
+    rc, out, err = run_cli(["analyze", write(doc)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: $.algebra: scalar {one} outside range({p ** e})\n"
 
 
 def test_exit_code_budget(write):

@@ -165,8 +165,9 @@ def test_interval_length_examples(ext44, ext64, ext_chain3):
 def test_longest_chain_is_witness(ext44):
     lat = enumerate_interval(ext44)
     chain = longest_chain(lat)
-    assert len(chain.nodes) - 1 == EX44_LENGTH
-    for i, j in zip(chain.nodes, chain.nodes[1:]):
+    assert chain[0] == lat.bottom and chain[-1] == lat.top
+    assert len(chain) - 1 == EX44_LENGTH
+    for i, j in zip(chain, chain[1:]):
         assert (i, j) in lat.covers
 
 
@@ -362,7 +363,8 @@ def test_maximal_chains_consistent_with_length(ext44):
     lat = enumerate_interval(ext44)
     chains, trunc = maximal_chains(lat)
     assert not trunc
-    assert max(len(c.nodes) - 1 for c in chains) == interval_length(lat)
+    assert all(c[0] == lat.bottom and c[-1] == lat.top for c in chains)
+    assert max(len(c) - 1 for c in chains) == interval_length(lat)
 
 
 def test_quotient_interval_bijection(ext44, deep_local_ext):
