@@ -60,5 +60,4 @@ from .nagata import (  # noqa: F401
     filtration_conditions,
     nagata_has_fip,
     nagata_report,
-    nilpotency_index,
 )

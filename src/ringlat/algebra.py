@@ -553,18 +553,6 @@ def local_decomposition(ring):
     return LocalDecomposition(ring=ring, factors=tuple(factors), nilradical=nil)
 
 
-def brute_force_idempotents(ring, budget=4096):
-    """All idempotents by exhaustive scan; independent oracle for tests."""
-    A = ring.ambient
-    if A.field.q ** ring.dim > budget:
-        raise AlgebraError("idempotent scan budget exceeded")
-    out = []
-    for v in gfq.span_vectors(A.field, ring.basis):
-        if A.mul(v, v) == v:
-            out.append(v)
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # localization, length, support
 

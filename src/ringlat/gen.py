@@ -10,7 +10,6 @@ identical streams.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -69,30 +68,6 @@ def staircase_monomials(rng, size):
         )
         cells.add(frontier[rng.randrange(len(frontier))])
     return tuple(sorted(cells))
-
-
-def all_staircases(max_size):
-    """Every downward-closed monomial set of size <= max_size (exhaustive)."""
-    found = {((0, 0),)}
-    frontier = {((0, 0),)}
-    while frontier:
-        new = set()
-        for stair in frontier:
-            cells = set(stair)
-            if len(cells) >= max_size:
-                continue
-            grow = {(i + 1, j) for i, j in cells} | {(i, j + 1) for i, j in cells}
-            for cell in grow:
-                i, j = cell
-                if cell in cells:
-                    continue
-                if (i == 0 or (i - 1, j) in cells) and (j == 0 or (i, j - 1) in cells):
-                    cand = tuple(sorted(cells | {cell}))
-                    if cand not in found:
-                        found.add(cand)
-                        new.add(cand)
-        frontier = new
-    return sorted(found, key=lambda s: (len(s), s))
 
 
 def monomial_algebra(field, monomials):
@@ -189,21 +164,3 @@ def random_extension(spec):
             continue
         emitted += 1
         yield ext
-
-
-def exhaustive_local_algebras(field, max_dim, include_fields=True):
-    """Every staircase quotient (and optionally field step) of dim <= max_dim."""
-    out = [monomial_algebra(field, stair) for stair in all_staircases(max_dim)]
-    if include_fields:
-        out.extend(field_step_algebra(field, m) for m in range(2, max_dim + 1))
-    return out
-
-
-def exhaustive_top_algebras(field, max_dim):
-    """Local algebras and binary products of them, up to max_dim, all shapes."""
-    locals_ = exhaustive_local_algebras(field, max_dim)
-    out = list(locals_)
-    for a, b in itertools.combinations_with_replacement(locals_, 2):
-        if a.dim + b.dim <= max_dim:
-            out.append(make_product(a, b))
-    return out

@@ -13,6 +13,12 @@ the eliminations built on them (`rref`, `reduce_vec`, and `reduce_insert`,
 which grows an rref basis one vector at a time) choose once per call, not
 once per entry: over a prime field they compute with plain ints and reduce
 mod p, over an extension field they index local table rows.
+
+Polynomials over a field are coefficient lists, constant term first.  A few
+helpers (remainder, product and power mod a monic polynomial, monic gcd)
+serve `poly_is_irreducible`, Ben-Or's test, and `irreducible_poly`, the
+lexicographically first monic irreducible of a degree, which gives the
+default modulus of GF(p**e) and the field steps of `gen`.
 """
 
 from __future__ import annotations
@@ -198,20 +204,42 @@ class GF:
 
 
 def poly_is_irreducible(field, f):
-    """Trial-division irreducibility over an arbitrary GF(q)."""
+    """Ben-Or's test over GF(q): a monic f of degree n is irreducible iff
+    gcd(f, x**(q**i) - x) = 1 for i = 1 .. n // 2, that is iff no monic
+    irreducible of degree at most n / 2 divides f.  Each x**(q**i) mod f is
+    the last one raised to the q-th power."""
     f = tuple(f)
-    deg = len(f) - 1
-    if deg < 1 or f[-1] != 1:
+    n = len(f) - 1
+    if n < 1 or f[-1] != 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(field.elements(), repeat=d):
-            g = tuple(tail) + (1,)
-            if not _poly_mod(field, f, g):
-                return False
+    x = h = [0, 1]
+    for _ in range(n // 2):
+        h = _poly_powmod(field, h, field.q, f)
+        if len(_poly_gcd(field, f, _poly_sub(field, h, x))) > 1:
+            return False
     return True
 
 
+def irreducible_poly(field, degree):
+    """Lexicographically first monic irreducible of given degree over field.
+
+    Above degree 1, x divides every candidate with constant term 0, so
+    those are never generated."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    constants = range(field.q) if degree == 1 else range(1, field.q)
+    for tail in itertools.product(constants, *[field.elements()] * (degree - 1)):
+        f = tail + (1,)
+        if poly_is_irreducible(field, f):
+            return f
+    raise AssertionError("no irreducible polynomial found")
+
+
+# The helpers below return polynomials with no trailing zeros: [] is 0.
+
+
 def _poly_mod(field, num, den):
+    """num mod den, for a monic den."""
     num = list(num)
     dn = len(den) - 1
     for k in range(len(num) - 1, dn - 1, -1):
@@ -224,15 +252,39 @@ def _poly_mod(field, num, den):
     return num
 
 
-def irreducible_poly(field, degree):
-    """Lexicographically first monic irreducible of given degree over field."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    for tail in itertools.product(field.elements(), repeat=degree):
-        f = tuple(tail) + (1,)
-        if poly_is_irreducible(field, f):
-            return f
-    raise AssertionError("no irreducible polynomial found")
+def _poly_sub(field, a, b):
+    out = [field.sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_mulmod(field, a, b, f):
+    """a * b mod the monic f."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = field.add(prod[i + j], field.mul(x, y))
+    return _poly_mod(field, prod, f)
+
+
+def _poly_powmod(field, a, k, f):
+    """a**k mod the monic f, by square-and-multiply, for k >= 1."""
+    out = a
+    for bit in bin(k)[3:]:
+        out = _poly_mulmod(field, out, out, f)
+        if bit == "1":
+            out = _poly_mulmod(field, out, a, f)
+    return out
+
+
+def _poly_gcd(field, a, b):
+    """The monic gcd of a and b, not both 0.  _poly_mod divides by monic
+    polynomials only, so each divisor is made monic first."""
+    while b:
+        a, b = b, _poly_mod(field, a, vscale(field, field.inv(b[-1]), b))
+    return vscale(field, field.inv(a[-1]), a)
 
 
 # ---------------------------------------------------------------------------

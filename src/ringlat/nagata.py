@@ -49,15 +49,6 @@ def _powers(A, M_rows, C):
     return powers
 
 
-def nilpotency_index(ext, an=None):
-    """Smallest n >= 1 with M**n inside the conductor, for local R."""
-    dec = (an or Analysis()).decomposition(ext.bottom)
-    if not dec.is_local:
-        raise AlgebraError("nilpotency index requires a local bottom ring")
-    C = conductor(ext.bottom, ext.top)
-    return len(_powers(ext.ambient, dec.factors[0].maximal_ideal.basis, C))
-
-
 @dataclass(frozen=True)
 class SubintegralLocalData:
     """Filtration data of a subintegral pair whose bottom is local mod its

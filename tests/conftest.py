@@ -1,16 +1,101 @@
+"""Shared fixtures, and the exhaustive references that only tests use."""
+
+import itertools
+
 import pytest
 
-from ringlat import cli
+from ringlat import cli, gfq
 
 from ringlat.algebra import (
+    AlgebraError,
     Extension,
     Subalgebra,
     base_algebra,
+    conductor,
     generated_subalgebra,
     make_poly_quotient,
     make_product,
 )
+from ringlat.analysis import Analysis
+from ringlat.gen import field_step_algebra, monomial_algebra
 from ringlat.gfq import GF, irreducible_poly
+from ringlat.nagata import _powers
+
+
+def trial_division_irreducible(field, f):
+    """Irreducibility of a monic f by trial division by every monic
+    polynomial of degree at most deg f / 2."""
+    f = tuple(f)
+    deg = len(f) - 1
+    if deg < 1 or f[-1] != 1:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for tail in itertools.product(field.elements(), repeat=d):
+            if not gfq._poly_mod(field, f, tail + (1,)):
+                return False
+    return True
+
+
+def brute_force_idempotents(ring, budget=4096):
+    """All idempotents by exhaustive scan."""
+    A = ring.ambient
+    if A.field.q ** ring.dim > budget:
+        raise AlgebraError("idempotent scan budget exceeded")
+    out = []
+    for v in gfq.span_vectors(A.field, ring.basis):
+        if A.mul(v, v) == v:
+            out.append(v)
+    return sorted(out)
+
+
+def nilpotency_index(ext, an=None):
+    """Smallest n >= 1 with M**n inside the conductor, for local R."""
+    dec = (an or Analysis()).decomposition(ext.bottom)
+    if not dec.is_local:
+        raise AlgebraError("nilpotency index requires a local bottom ring")
+    C = conductor(ext.bottom, ext.top)
+    return len(_powers(ext.ambient, dec.factors[0].maximal_ideal.basis, C))
+
+
+def all_staircases(max_size):
+    """Every downward-closed monomial set of size <= max_size (exhaustive)."""
+    found = {((0, 0),)}
+    frontier = {((0, 0),)}
+    while frontier:
+        new = set()
+        for stair in frontier:
+            cells = set(stair)
+            if len(cells) >= max_size:
+                continue
+            grow = {(i + 1, j) for i, j in cells} | {(i, j + 1) for i, j in cells}
+            for cell in grow:
+                i, j = cell
+                if cell in cells:
+                    continue
+                if (i == 0 or (i - 1, j) in cells) and (j == 0 or (i, j - 1) in cells):
+                    cand = tuple(sorted(cells | {cell}))
+                    if cand not in found:
+                        found.add(cand)
+                        new.add(cand)
+        frontier = new
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def exhaustive_local_algebras(field, max_dim):
+    """Every staircase quotient and field step of dim <= max_dim."""
+    out = [monomial_algebra(field, stair) for stair in all_staircases(max_dim)]
+    out.extend(field_step_algebra(field, m) for m in range(2, max_dim + 1))
+    return out
+
+
+def exhaustive_top_algebras(field, max_dim):
+    """Local algebras and binary products of them, up to max_dim, all shapes."""
+    locals_ = exhaustive_local_algebras(field, max_dim)
+    out = list(locals_)
+    for a, b in itertools.combinations_with_replacement(locals_, 2):
+        if a.dim + b.dim <= max_dim:
+            out.append(make_product(a, b))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,7 @@ from ringlat.canonical import (
     lambda_invariant,
     t_closure,
 )
-from ringlat.gen import GenSpec, exhaustive_top_algebras, random_extension
+from ringlat.gen import GenSpec, random_extension
 from ringlat.gfq import GF
 from ringlat.lattice import (
     brute_force_interval,
@@ -49,6 +49,8 @@ from ringlat.lattice import (
     quotient_interval_check,
 )
 from ringlat.nagata import filtration_data, fip_subintegral_crosscheck, filtration_conditions, nagata_has_fip
+
+from conftest import exhaustive_top_algebras
 
 # frozen from the brute-force oracle ahead of the enumeration build
 EX44_CARDINALITY = 6

@@ -10,7 +10,6 @@ from ringlat.algebra import (
     Ideal,
     Subalgebra,
     base_algebra,
-    brute_force_idempotents,
     conductor,
     generated_subalgebra,
     local_decomposition,
@@ -24,6 +23,8 @@ from ringlat.algebra import (
 )
 from ringlat.analysis import Analysis
 from ringlat.gfq import GF, rref
+
+from conftest import brute_force_idempotents
 
 
 def test_poly_quotient_nilpotent(F2, T44):

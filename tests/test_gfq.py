@@ -23,6 +23,8 @@ from ringlat.gfq import (
     rref,
 )
 
+from conftest import trial_division_irreducible
+
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 6)]
 
 
@@ -87,6 +89,27 @@ def test_irreducible_poly_search():
     F4 = GF(2, 2)
     f = irreducible_poly(F4, 2)
     assert gfq.poly_is_irreducible(F4, f)
+
+
+@pytest.mark.parametrize("p,e,max_degree", [
+    (2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 4), (7, 1, 3), (2, 3, 3), (3, 2, 3), (11, 1, 3)])
+def test_ben_or_matches_trial_division(p, e, max_degree):
+    """Every monic polynomial of degree 1 .. max_degree over GF(p^e)."""
+    F = GF(p, e)
+    for n in range(1, max_degree + 1):
+        for tail in itertools.product(F.elements(), repeat=n):
+            f = tail + (1,)
+            assert gfq.poly_is_irreducible(F, f) == trial_division_irreducible(F, f), f
+
+
+@pytest.mark.parametrize("q,degree,expected", [
+    (1021, 1, (0, 1)), (1021, 2, (1, 5, 1)), (1021, 3, (1, 0, 3, 1)),
+    (1021, 4, (1, 0, 0, 3, 1)), (9, 6, (1, 0, 0, 0, 3, 4, 1)),
+    (4, 6, (1, 0, 0, 1, 1, 2, 1))])
+def test_irreducible_poly_lex_first(q, degree, expected):
+    """The lexicographically first monic irreducible; over GF(1021) from
+    degree 3 on, a trial-division search takes far longer than a test."""
+    assert irreducible_poly(GF(*prime_power(q)), degree) == expected
 
 
 @st.composite

@@ -27,8 +27,9 @@ from ringlat.nagata import (
     filtration_conditions,
     nagata_has_fip,
     nagata_report,
-    nilpotency_index,
 )
+
+from conftest import nilpotency_index
 
 
 def test_nilpotency_index_examples(ext44, T44, deep_local_ext):
