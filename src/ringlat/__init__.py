@@ -12,6 +12,7 @@ from .algebra import (  # noqa: F401
     Subalgebra,
     base_algebra,
     conductor,
+    frobenius_counts,
     generated_subalgebra,
     local_decomposition,
     localize_extension,
@@ -29,6 +30,7 @@ from .canonical import (  # noqa: F401
     ResidualExtension,
     canonical_decomposition,
     classify_minimal,
+    cover_kind,
     crucial_ideal,
     is_infra_integral,
     is_subintegral,

@@ -371,6 +371,27 @@ def nilradical(ring):
     return Ideal(ring, rows)
 
 
+def frobenius_counts(ring):
+    """(r, s): r = dim ker(x -> x**q - x), the number of local factors of the
+    ring, and s = rank(x -> x**Q) = dim ring - dim Nil, with Q as in
+    :func:`nilradical`.
+
+    Both maps are GF(q)-linear.  In a local factor t**q - t is separable, so
+    by Hensel its roots there are GF(q)*1 alone: one kernel dimension per
+    factor.  The images x**q of the basis serve both counts: raised to the
+    q-th power again until Q >= dim ring, they span the image of x -> x**Q.
+    """
+    A = ring.ambient
+    F = A.field
+    images = [A.pow(b, F.q) for b in ring.basis]
+    r = ring.dim - len(rref(F, [vsub(F, y, b) for y, b in zip(images, ring.basis)]))
+    Q = F.q
+    while Q < ring.dim:
+        images = [A.pow(y, F.q) for y in images]
+        Q *= F.q
+    return r, len(rref(F, images))
+
+
 @dataclass(frozen=True)
 class QuotientMap:
     """Quotient S/J of a ring by an ideal, with its projection."""

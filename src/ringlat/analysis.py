@@ -12,13 +12,16 @@ An :class:`Analysis` also memoizes by value (a ring is its ambient algebra
 and its canonical basis, so equal rings share one entry) the lattice of each
 interval, the local decomposition of each ring, the canonical decomposition
 of each interval, the Nagata filtration of each subintegral pair local mod
-its conductor, and the minimal-step kind of each cover edge T < U.  The
-crucial ideal of a cover needs no memo: ``check`` computes each one once,
-for all covers together.  A localization is a subinterval of its pair,
-cheap to rebuild, whose lattice the interval memo shares.  The cache lives as long as the
-object: the CLI makes one per command, and a library function called
-without one makes a fresh one, so a direct call computes everything for
-real.  The public functions behind the cache always compute; only the
+its conductor, the Frobenius counts (local factors, dim - dim Nil) of each
+ring, and the minimal-step kind of each cover edge T < U by each of two
+routes: ``cover_kind`` from the counts of T and U, which ``analyze`` reads,
+and ``edge_kind`` from the conductor (T:U), which ``check`` and ``lattice``
+read and ``check`` compares with the first.  The crucial ideal of a cover
+needs no memo: ``check`` computes each one once, for all covers together.
+A localization is a subinterval of its pair, cheap to rebuild, whose
+lattice the interval memo shares.  The cache lives as long as the object:
+the CLI makes one per command, and a library function called without one
+makes a fresh one, so a direct call computes everything for real.  The public functions behind the cache always compute; only the
 methods here look a result up first.  They import those functions when
 called, because their modules import this one.
 """
@@ -80,7 +83,18 @@ class Analysis:
         from .nagata import filtration_data
         return self._fact(("filtration", ext), lambda: filtration_data(ext, self))
 
+    def frobenius_counts(self, ring):
+        """(local factors, dim - dim Nil) of a ring, from two Frobenius maps."""
+        from .algebra import frobenius_counts
+        return self._fact(("frobenius counts", ring), lambda: frobenius_counts(ring))
+
+    def cover_kind(self, T, U):
+        """The kind of a cover T < U, read off the Frobenius counts of T and U."""
+        from .canonical import cover_kind
+        return self._fact(("cover kind", T, U), lambda: cover_kind(T, U, an=self))
+
     def edge_kind(self, T, U):
-        """The minimal-step kind (inert, decomposed or ramified) of a cover T < U."""
+        """The MinimalKind of a cover T < U by its conductor: the independent
+        route that ``check`` and ``lattice`` read."""
         from .canonical import classify_minimal
         return self._fact(("edge kind", T, U), lambda: classify_minimal(T, U, an=self))

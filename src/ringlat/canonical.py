@@ -1,16 +1,20 @@
 """Classification of minimal steps and the canonical decomposition.
 
 A cover edge T < U of an interval is classified as inert, decomposed or
-ramified from the conductor (T:U) and the maximal ideals of U above it;
-exactly one of the three condition sets may hold.  Beside it sit the
+ramified by two routes.  The count route compares the Frobenius counts of
+T and U: their numbers of local factors and the dimensions of their reduced
+parts.  The conductor route solves for the conductor (T:U) and tests the
+maximal ideals of U above it; exactly one of the three condition sets may
+hold.  ``analyze`` reads the first; ``check`` reads the second and asserts
+that the two agree on every cover.  Beside them sit the
 subintegral / infra-integral / t-closed predicates, the canonical chain
 R <= +R <= tR <= S and the supremum of residual-extension lengths.  +R and tR
 come from closed forms, +R = R + Nil(S) and tR as one Frobenius kernel, and
-the canonical decomposition checks each against the nodes that its kinds of
-cover edges reach from R in the classified lattice.  The crucial ideal of a
-cover is a fact of that cover alone, computed once per cover; a maximal
-chain, a tuple of node indices, reads the kinds and crucial traces of its
-covers.
+the canonical decomposition checks each against the nodes that the covers
+of its kinds, by the count route, reach from R in the lattice.  The crucial
+ideal of a cover is a fact of that cover alone, computed once per cover; a
+maximal chain, a tuple of node indices, reads the kinds and crucial traces
+of its covers.
 """
 
 from __future__ import annotations
@@ -96,6 +100,38 @@ def classify_minimal(T, U, an=None):
             "trichotomy",
             f"adjacent pair matched {len(matches)} minimal types instead of 1")
     return matches[0]
+
+
+def cover_kind(T, U, an=None):
+    """The kind of a cover T < U from the Frobenius counts (r, s) of its rings.
+
+    By Ferrand-Olivier, U/M is k x k, a field of prime degree over k, or
+    k[e] with e**2 = 0, where M is the crucial ideal and k = T/M.  So U has
+    one more local factor than T when the cover is decomposed; otherwise it
+    has as many, and a larger reduced part (dim - dim Nil) when it is inert.
+    """
+    an = an or Analysis()
+    (r_t, s_t), (r_u, s_u) = an.frobenius_counts(T), an.frobenius_counts(U)
+    if r_u == r_t + 1:
+        return DECOMPOSED
+    if r_u == r_t and s_u >= s_t:
+        return INERT if s_u > s_t else RAMIFIED
+    raise InternalInvariantError(
+        "cover-counts",
+        f"Frobenius counts {(r_t, s_t)} below and {(r_u, s_u)} above fit no minimal kind")
+
+
+def check_cover_kinds(lat, edge_kinds, an=None):
+    """Raise unless the Frobenius counts give every cover edge the kind that
+    its conductor gave it in edge_kinds."""
+    an = an or Analysis()
+    for (i, j), kind in edge_kinds.items():
+        counted = an.cover_kind(lat.nodes[i], lat.nodes[j])
+        if counted != kind.kind:
+            raise InternalInvariantError(
+                "cover-counts",
+                f"cover {i} < {j} is {counted} by its Frobenius counts "
+                f"and {kind.kind} by its conductor")
 
 
 def crucial_ideal(T, U, an=None):
@@ -231,7 +267,7 @@ def canonical_decomposition(ext, an=None):
                              (tcl, (RAMIFIED, DECOMPOSED), "t-closure-vs-lattice")):
         reached = {lat.bottom}
         for i, j in lat.covers:  # sorted by i, and i < j: node i is settled
-            if i in reached and an.edge_kind(lat.nodes[i], lat.nodes[j]).kind in kinds:
+            if i in reached and an.cover_kind(lat.nodes[i], lat.nodes[j]) in kinds:
                 reached.add(j)
         if reached != {k for k, n in enumerate(lat.nodes) if ring.contains(n)}:
             raise InternalInvariantError(
@@ -296,10 +332,11 @@ def crucial_traces(lat, an=None):
             for i, j in lat.covers}
 
 
-def census(edge_kinds):
+def census(kinds):
+    """The number of covers of each kind, from an iterable of kind names."""
     out = {INERT: 0, DECOMPOSED: 0, RAMIFIED: 0}
-    for kind in edge_kinds.values():
-        out[kind.kind] += 1
+    for kind in kinds:
+        out[kind] += 1
     return out
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ringlat import algebra, canonical, lattice, nagata
+from ringlat import algebra, canonical, cli, lattice, nagata
 from ringlat.algebra import Extension, Subalgebra
 from ringlat.analysis import Analysis, BudgetExceeded
 from ringlat.cli import main
@@ -108,6 +108,36 @@ def test_analyze_makes_no_t_closed_call(monkeypatch, name):
         lambda args, kwargs, result: calls.append(result))
     run(["analyze", str(GOLDEN / f"{name}.json")])
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["f4-y3", "f9-mixed", "product", "y4", "y5", "y7-over-y2"])
+def test_analyze_classifies_covers_by_counts_alone(monkeypatch, name):
+    """analyze reads each cover's kind off the Frobenius counts: it makes no
+    classify_minimal call, computes no conductor but the one the Nagata
+    filtration needs, and decomposes no ring but the bottom and the top."""
+    calls = {fn: [] for fn in ("classify_minimal", "conductor", "filtration_data",
+                               "local_decomposition")}
+    for module, fn in ((canonical, "classify_minimal"), (algebra, "conductor"),
+                       (nagata, "filtration_data"), (algebra, "local_decomposition")):
+        spy(monkeypatch, module, fn,
+            lambda args, kwargs, result, fn=fn: calls[fn].append(args[0]))
+    run(["analyze", str(GOLDEN / f"{name}.json")])
+    assert calls["classify_minimal"] == []
+    assert len(calls["conductor"]) == len(calls["filtration_data"])
+    ext = cli.load_instance(str(GOLDEN / f"{name}.json"))
+    assert sorted(ring.basis for ring in calls["local_decomposition"]) == \
+        sorted((ext.bottom.basis, ext.top.basis))
+
+
+def test_check_exits_3_when_the_kind_routes_disagree(monkeypatch, capsys):
+    """check compares the counted kind of every cover with classify_minimal's
+    before it prints a line; every cover of y4 is ramified."""
+    monkeypatch.setattr(canonical, "cover_kind", lambda T, U, an=None: canonical.INERT)
+    assert main(["check", str(GOLDEN / "y4.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violation: [cover-counts] cover ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", ["product", "f9-mixed"])

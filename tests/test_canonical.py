@@ -61,6 +61,63 @@ def test_classify_minimal_trio(minimal_trio):
     assert kind == RAMIFIED
 
 
+def test_cover_kind_trio(minimal_trio):
+    """The Frobenius counts (local factors, dim - dim Nil) of both rings of a
+    minimal pair give its kind."""
+    inert, decomposed, ramified = minimal_trio
+    for ext, kind, counts in ((inert, INERT, ((1, 1), (1, 2))),
+                              (decomposed, DECOMPOSED, ((1, 1), (2, 2))),
+                              (ramified, RAMIFIED, ((1, 1), (1, 1)))):
+        an = Analysis()
+        assert canonical.cover_kind(ext.bottom, ext.top, an) == kind
+        assert (an.frobenius_counts(ext.bottom), an.frobenius_counts(ext.top)) == counts
+
+
+def test_cover_kind_refuses_counts_of_no_minimal_pair(minimal_trio):
+    """Read downward, a decomposed pair loses a local factor: no kind fits."""
+    _, decomposed, _ = minimal_trio
+    with pytest.raises(InternalInvariantError) as caught:
+        canonical.cover_kind(decomposed.top, decomposed.bottom)
+    assert caught.value.tag == "cover-counts"
+
+
+@pytest.fixture(scope="module")
+def count_campaign():
+    """The lattice of every instance of a seeded campaign, with its analysis:
+    seed 41, q in {2, 3, 4, 5, 7, 8, 9}, all four shapes, 12 each, max-dim 4."""
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for shape in SHAPES:
+            spec = GenSpec(seed=41, q=q, max_dim=4, shape=shape, count=12)
+            for ext in random_extension(spec):
+                an = Analysis()
+                out.append((an, an.lattice(ext)))
+    return out
+
+
+def test_cover_kind_matches_the_conductor_route(count_campaign):
+    """Both routes give the same kind on all 2,293 covers of the campaign."""
+    kinds = []
+    for an, lat in count_campaign:
+        for i, j in lat.covers:
+            T, U = lat.nodes[i], lat.nodes[j]
+            kind = canonical.cover_kind(T, U, an)
+            assert kind == classify_minimal(T, U, an).kind
+            kinds.append(kind)
+    assert census(kinds) == {"inert": 224, "decomposed": 332, "ramified": 1737}
+
+
+def test_frobenius_counts_match_the_local_decomposition(count_campaign):
+    """(r, s) is (number of local factors, dim - dim Nil) on every node."""
+    nodes = 0
+    for an, lat in count_campaign:
+        for ring in lat.nodes:
+            dec = local_decomposition(ring)
+            assert an.frobenius_counts(ring) == (len(dec.factors), ring.dim - dec.nilradical.dim)
+            nodes += 1
+    assert nodes == 1687
+
+
 def test_classify_minimal_evidence(minimal_trio):
     inert, decomposed, ramified = minimal_trio
     k = classify_minimal(decomposed.bottom, decomposed.top)
@@ -349,9 +406,9 @@ def test_crucial_trace_invariance(ext44, ext64):
 
 def test_census(ext44, ext64):
     kinds44 = classify_cover_edges(enumerate_interval(ext44))
-    assert census(kinds44) == {"inert": 0, "decomposed": 0, "ramified": 7}
+    assert census(k.kind for k in kinds44.values()) == {"inert": 0, "decomposed": 0, "ramified": 7}
     kinds64 = classify_cover_edges(enumerate_interval(ext64))
-    assert census(kinds64) == {"inert": 4, "decomposed": 0, "ramified": 0}
+    assert census(k.kind for k in kinds64.values()) == {"inert": 4, "decomposed": 0, "ramified": 0}
 
 
 def test_ramified_subintegral_decomposed_infra(minimal_trio):

@@ -1,9 +1,11 @@
 import contextlib
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -152,6 +154,46 @@ def test_oversized_field_is_refused_at_once(field, size):
         parse_instance(doc)
     assert caught.value.path == "$.field"
     assert str(caught.value) == f"$.field: field size {size} exceeds supported bound 4096"
+
+
+def test_degree_400_instance_is_refused_at_once(write):
+    """F2[Y]/(Y^400 + 1), 1.3 KB, would build 400**3 structure constants: the
+    parser refuses it in a child process held to 256 MB of address space."""
+    doc = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [1] + [0] * 399 + [1]}}
+    limit = 256 * 2 ** 20
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringlat.cli", "analyze", write(doc)],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: $.algebra.poly_quotient: dimension 400 exceeds "
+                           f"the maximum {cli.MAX_DIM}\n")
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("algebra, path, dim", [
+    ({"table": {"dim": 10 ** 6, "mul": [], "one": []}}, "$.algebra.table.dim", 10 ** 6),
+    ({"product": [{"poly_quotient": [0] * 30 + [1]},
+                  {"product": [{"poly_quotient": [0] * 15 + [1]},
+                               {"table": {"dim": 4, "mul": [], "one": []}}]}]},
+     "$.algebra.product", 49),
+], ids=["table", "nested-product"])
+def test_dimension_over_the_cap_is_refused_before_any_table(algebra, path, dim):
+    """A product's dimension is summed from its documents, nested products
+    included, before any factor is built: each factor here is within the cap."""
+    assert cli.MAX_DIM == 48
+    with deadline(1), pytest.raises(ParseError) as caught:
+        parse_instance({"field": {"p": 2, "e": 1}, "algebra": algebra})
+    assert str(caught.value) == f"{path}: dimension {dim} exceeds the maximum 48"
+
+
+def test_dimension_at_the_cap_is_parsed():
+    doc = {"field": {"p": 2, "e": 1},
+           "algebra": {"product": [{"poly_quotient": [0] * 40 + [1]},
+                                   {"poly_quotient": [0] * 8 + [1]}]}}
+    assert parse_instance(doc).ambient.dim == 48
 
 
 @pytest.mark.parametrize("p, e, one", [(2, 2, 5), (3, 1, 4)])
