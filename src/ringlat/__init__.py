@@ -12,7 +12,7 @@ from .algebra import (  # noqa: F401
     Subalgebra,
     base_algebra,
     conductor,
-    frobenius_counts,
+    frobenius,
     generated_subalgebra,
     local_decomposition,
     localize_extension,

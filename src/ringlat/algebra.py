@@ -7,8 +7,10 @@ Algebra, as canonical reduced-echelon bases, so equality and hashing are
 structural.  Every function that takes a ring takes a Subalgebra
 (``A.full()`` for the whole algebra); only :class:`Extension` also accepts
 an Algebra, as its top.  The local decomposition works in those same
-coordinates: ring/Nil is the set of normal forms modulo the nilradical, and
-each local factor is recorded by its idempotent and its dimension.  The
+coordinates: one Frobenius pass per ring gives the nilradical and the
+Frobenius-fixed subring, a split copy of GF(q)**r whose splitting gives the
+primitive idempotents exactly, and each local factor is recorded by its
+idempotent and its dimension.  The
 localization of an extension at a maximal ideal is a subinterval of it, in
 the same ambient.  Only a quotient is a new Algebra, connected to its
 source by its projection, and only the quotient-interval check builds one.
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from . import gfq
 from .analysis import Analysis
 from .gfq import (
-    complement_in,
     in_span,
     intersect_rowspaces,
     lincomb,
@@ -354,42 +355,35 @@ def ideal_mul_rows(A, rows_a, rows_b):
 # nilradical and local structure
 
 
-def nilradical(ring):
-    """Ideal of nilpotents: the kernel of x -> x**Q over GF(q).
+def frobenius(ring):
+    """(K, Nil): row bases, in ambient coordinates, of K = ker(x -> x**q - x)
+    and Nil = ker(x -> x**Q), with Q the least power of q with Q >= q and
+    Q >= dim ring.
 
-    Q is the least power of q with Q >= dim ring, starting from Q = 1.  As a
-    power of q, Q makes x -> x**Q GF(q)-linear, and a nilpotent x of the
-    ring has x**dim = 0, so one kernel of the images of the basis suffices.
-    """
-    A = ring.ambient
-    F = A.field
-    Q = 1
-    while Q < ring.dim:
-        Q *= F.q
-    images = [A.pow(b, Q) for b in ring.basis]
-    rows = [lincomb(F, coeffs, ring.basis) for coeffs in gfq.left_kernel(F, images)]
-    return Ideal(ring, rows)
-
-
-def frobenius_counts(ring):
-    """(r, s): r = dim ker(x -> x**q - x), the number of local factors of the
-    ring, and s = rank(x -> x**Q) = dim ring - dim Nil, with Q as in
-    :func:`nilradical`.
-
-    Both maps are GF(q)-linear.  In a local factor t**q - t is separable, so
-    by Hensel its roots there are GF(q)*1 alone: one kernel dimension per
-    factor.  The images x**q of the basis serve both counts: raised to the
-    q-th power again until Q >= dim ring, they span the image of x -> x**Q.
+    Both maps are GF(q)-linear, and x -> x**q is a ring endomorphism, so K is
+    a subring.  In a local factor with idempotent e, y**q = y forces
+    y = a*e + n with a in GF(q) and n nilpotent, n**q = n, so n = 0: K is the
+    GF(q)-span of the primitive idempotents, one dimension per local factor.
+    A nilpotent x has x**dim = 0, so Nil is the nilradical.  The images x**q
+    of the basis serve both kernels: raised to the q-th power again until
+    Q >= dim ring, they are the images x**Q.
     """
     A = ring.ambient
     F = A.field
     images = [A.pow(b, F.q) for b in ring.basis]
-    r = ring.dim - len(rref(F, [vsub(F, y, b) for y, b in zip(images, ring.basis)]))
+    fixed = gfq.left_kernel(F, [vsub(F, y, b) for y, b in zip(images, ring.basis)])
     Q = F.q
     while Q < ring.dim:
         images = [A.pow(y, F.q) for y in images]
         Q *= F.q
-    return r, len(rref(F, images))
+    nil = gfq.left_kernel(F, images)
+    return tuple(tuple(lincomb(F, c, ring.basis) for c in kernel) for kernel in (fixed, nil))
+
+
+def nilradical(ring, an=None):
+    """Ideal of nilpotents: the kernel Nil of :func:`frobenius`."""
+    _, nil = (an or Analysis()).frobenius(ring)
+    return Ideal(ring, nil)
 
 
 @dataclass(frozen=True)
@@ -460,59 +454,46 @@ class LocalDecomposition:
         return len(self.factors) == 1
 
 
-def _primitive_idempotents(ring, nil_rows):
-    """Primitive idempotents of a ring, in the coordinates of its ambient.
+def _primitive_idempotents(A, fixed):
+    """Primitive idempotents of a ring, in the coordinates of its ambient A,
+    from a basis of its Frobenius-fixed subring K (see :func:`frobenius`).
 
-    They are found in ring/Nil, whose elements are the normal forms modulo
-    the rref rows nil_rows of the nilradical, and lifted exactly to the ring.
+    K is a copy of GF(q)**r, so splitting the unit along each basis vector
+    of K with the ambient product gives the r idempotents exactly.
     """
-    A = ring.ambient
     F = A.field
-
-    def mul(u, v):
-        return reduce_vec(F, nil_rows, A.mul(u, v))
-
-    basis = complement_in(F, nil_rows, ring.basis)  # normal forms: a basis of ring/Nil
-    # GF(q)-linear Frobenius-fixed subspace of the semisimple quotient
-    frob_rows = [vsub(F, reduce_vec(F, nil_rows, A.pow(b, F.q)), b) for b in basis]
-    fixed = [lincomb(F, x, basis) for x in gfq.left_kernel(F, frob_rows)]
-    idems = [reduce_vec(F, nil_rows, A.one)]
+    idems = [A.one]
     for b in fixed:
         refined = []
         for e in idems:
-            refined.extend(_split_idempotent(F, mul, e, mul(e, b)))
+            refined.extend(_split_idempotent(A, e, A.mul(e, b)))
         idems = refined
     if len(idems) != len(fixed):
         raise InternalInvariantError(
             "idempotent-splitting-incomplete",
             f"expected {len(fixed)} primitive idempotents, found {len(idems)}")
-    # lift to the ring through Frobenius iteration; exact once the corrections vanish
-    lifted = []
-    for x in idems:
-        while A.mul(x, x) != x:
-            x = A.pow(x, F.q)
-        lifted.append(x)
-    lifted.sort()
+    idems.sort()
     total = zero_vec(A.dim)
-    for x in lifted:
+    for x in idems:
         total = vadd(F, total, x)
     if total != A.one:
         raise InternalInvariantError("idempotents-incomplete",
                                      "idempotents do not sum to the unit")
-    for x, y in itertools.combinations(lifted, 2):
+    for x, y in itertools.combinations(idems, 2):
         if any(A.mul(x, y)):
             raise InternalInvariantError("idempotents-not-orthogonal",
-                                         "lifted idempotents are not orthogonal")
-    return lifted
+                                         "split idempotents are not orthogonal")
+    return idems
 
 
-def _split_idempotent(F, mul, e, c):
-    """Split the idempotent e along c in the algebra with product mul, via the
-    minimal polynomial of c in e times that algebra."""
+def _split_idempotent(A, e, c):
+    """Split the idempotent e along c in A, via the minimal polynomial of c
+    in eA."""
+    F = A.field
     powers = [e]
     cur = e
     while True:
-        cur = mul(cur, c)
+        cur = A.mul(cur, c)
         coeffs = gfq.express(F, powers, cur)
         if coeffs is not None:
             break
@@ -539,23 +520,25 @@ def _split_idempotent(F, mul, e, c):
         for mu in roots:
             if mu == lam:
                 continue
-            numer = mul(numer, vsub(F, c, vscale(F, mu, e)))
+            numer = A.mul(numer, vsub(F, c, vscale(F, mu, e)))
             denom = F.mul(denom, F.sub(lam, mu))
         e_lam = vscale(F, F.inv(denom), numer)
-        if mul(e_lam, e_lam) != e_lam:
+        if A.mul(e_lam, e_lam) != e_lam:
             raise InternalInvariantError("idempotent-split-failed",
                                          "interpolated element is not idempotent")
         out.append(e_lam)
     return out
 
 
-def local_decomposition(ring):
+def local_decomposition(ring, an=None):
     """Split an Artinian ring (a Subalgebra) into local factors along its idempotents."""
     A = ring.ambient
     F = A.field
-    nil = nilradical(ring)
+    an = an or Analysis()
+    nil = nilradical(ring, an)
+    fixed, _ = an.frobenius(ring)
     factors = []
-    for e in _primitive_idempotents(ring, nil.basis):
+    for e in _primitive_idempotents(A, fixed):
         dim = len(rref(F, [A.mul(e, r) for r in ring.basis]))
         # the nilradical of the factor e*ring is e times that of the ring
         fnil_dim = len(rref(F, [A.mul(e, v) for v in nil.basis]))

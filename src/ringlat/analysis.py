@@ -10,10 +10,12 @@ linear algebra and charge nothing.  A charge the budget cannot cover raises
 
 An :class:`Analysis` also memoizes by value (a ring is its ambient algebra
 and its canonical basis, so equal rings share one entry) the lattice of each
-interval, the local decomposition of each ring, the canonical decomposition
-of each interval, the Nagata filtration of each subintegral pair local mod
-its conductor, the Frobenius counts (local factors, dim - dim Nil) of each
-ring, and the minimal-step kind of each cover edge T < U by each of two
+interval; the two Frobenius kernels of each ring, its fixed subring and its
+nilradical from one pass of x -> x**q over its basis, which its local
+decomposition and its counts (local factors, dim - dim Nil) both read; the
+local decomposition of each ring; the canonical decomposition of each
+interval; the Nagata filtration of each subintegral pair local mod its
+conductor; and the minimal-step kind of each cover edge T < U by each of two
 routes: ``cover_kind`` from the counts of T and U, which ``analyze`` reads,
 and ``edge_kind`` from the conductor (T:U), which ``check`` and ``lattice``
 read and ``check`` compares with the first.  The crucial ideal of a cover
@@ -21,9 +23,10 @@ needs no memo: ``check`` computes each one once, for all covers together.
 A localization is a subinterval of its pair, cheap to rebuild, whose
 lattice the interval memo shares.  The cache lives as long as the object:
 the CLI makes one per command, and a library function called without one
-makes a fresh one, so a direct call computes everything for real.  The public functions behind the cache always compute; only the
-methods here look a result up first.  They import those functions when
-called, because their modules import this one.
+makes a fresh one, so a direct call computes everything for real.  The
+public functions behind the cache always compute; only the methods here
+look a result up first.  They import those functions when called, because
+their modules import this one.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class Analysis:
     def decomposition(self, ring):
         """The local decomposition of a ring, with its nilradical."""
         from .algebra import local_decomposition
-        return self._fact(("decomposition", ring), lambda: local_decomposition(ring))
+        return self._fact(("decomposition", ring), lambda: local_decomposition(ring, self))
 
     def canonical(self, ext):
         """The canonical decomposition R <= +R <= tR <= S of ext."""
@@ -83,10 +86,16 @@ class Analysis:
         from .nagata import filtration_data
         return self._fact(("filtration", ext), lambda: filtration_data(ext, self))
 
+    def frobenius(self, ring):
+        """The Frobenius-fixed subring K and the nilradical Nil of a ring, as
+        row bases."""
+        from .algebra import frobenius
+        return self._fact(("frobenius", ring), lambda: frobenius(ring))
+
     def frobenius_counts(self, ring):
-        """(local factors, dim - dim Nil) of a ring, from two Frobenius maps."""
-        from .algebra import frobenius_counts
-        return self._fact(("frobenius counts", ring), lambda: frobenius_counts(ring))
+        """(local factors, dim - dim Nil) of a ring, read off its Frobenius kernels."""
+        fixed, nil = self.frobenius(ring)
+        return len(fixed), ring.dim - len(nil)
 
     def cover_kind(self, T, U):
         """The kind of a cover T < U, read off the Frobenius counts of T and U."""

@@ -428,6 +428,11 @@ def _check_suite(ext, args):
     nil = an.decomposition(ext.top).nilradical
     cond = conductor(ext.bottom, ext.top)
     for name, rows in (("nilradical", nil.basis), ("conductor", cond.basis)):
+        if ext.is_trivial and name == "conductor":
+            # the conductor of R = S is S itself, which has no quotient ring
+            yield f"quotient-interval-bijection-{name}", True, \
+                "not computed: the conductor is the whole ring"
+            continue
         ok, detail = quotient_interval_check(ext, rows, an)
         yield f"quotient-interval-bijection-{name}", ok, str(detail)
 

@@ -144,16 +144,14 @@ def filtration_conditions(data, an=None):
 class FipResult:
     fip: bool
     witnesses: tuple            # arithmetic failures of the seminormal part
-    seminormalization: Subalgebra
 
 
 def nagata_has_fip(ext, an=None):
     """Finiteness of the extended interval: the seminormal part must be
     arithmetic."""
     an = an or Analysis()
-    plus = seminormalization(ext, an)
-    ok, failures = is_arithmetic(Extension(ext.bottom, plus), an)
-    return FipResult(fip=ok, witnesses=failures, seminormalization=plus)
+    ok, failures = is_arithmetic(Extension(ext.bottom, seminormalization(ext, an)), an)
+    return FipResult(fip=ok, witnesses=failures)
 
 
 def fip_subintegral_crosscheck(ext, an=None):

@@ -48,6 +48,65 @@ def brute_force_idempotents(ring, budget=4096):
     return sorted(out)
 
 
+def prime_field_nilradical(ring):
+    """Reference nilradical: the kernel of x -> x**(p^m) over the prime field
+    GF(p), on the GF(p)-basis y^j * b and the base-p digits of each image."""
+    A = ring.ambient
+    F = A.field
+    p = F.p
+    pm = 1
+    while pm < ring.dim:
+        pm *= p
+    fp_basis = [gfq.vscale(F, p ** j, b) for b in ring.basis for j in range(F.e)]
+    digit_rows = [tuple(c // p ** i % p for c in A.pow(v, pm) for i in range(F.e))
+                  for v in fp_basis]
+    return gfq.rref(F, [gfq.lincomb(F, k, fp_basis)
+                        for k in gfq.left_kernel(GF(p), digit_rows)])
+
+
+def primitive_idempotents_mod_nil(ring):
+    """Reference primitive idempotents, found modulo the nilradical and lifted.
+
+    ring/Nil is the set of normal forms modulo the rows of
+    :func:`prime_field_nilradical`.  Its Frobenius-fixed subspace is a copy of
+    GF(q)**r; an idempotent e splits along a fixed c into the nonzero
+    e - (c - lam*e)**(q-1), lam in GF(q).  Each idempotent of ring/Nil lifts
+    to the ring by iterating x -> x**q until it is idempotent there.
+    """
+    A = ring.ambient
+    F = A.field
+    nil_rows = prime_field_nilradical(ring)
+
+    def mod_nil(v):
+        return gfq.reduce_vec(F, nil_rows, v)
+
+    def mul(u, v):
+        return mod_nil(A.mul(u, v))
+
+    basis = gfq.complement_in(F, nil_rows, ring.basis)
+    frob_rows = [gfq.vsub(F, mod_nil(A.pow(b, F.q)), b) for b in basis]
+    fixed = [gfq.lincomb(F, x, basis) for x in gfq.left_kernel(F, frob_rows)]
+    idems = [mod_nil(A.one)]
+    for b in fixed:
+        refined = []
+        for e in idems:
+            for lam in F.elements():
+                u = gfq.vsub(F, mul(e, b), gfq.vscale(F, lam, e))
+                power = e
+                for _ in range(F.q - 1):
+                    power = mul(power, u)
+                part = gfq.vsub(F, e, power)
+                if any(part):
+                    refined.append(part)
+        idems = refined
+    lifted = []
+    for x in idems:
+        while A.mul(x, x) != x:
+            x = A.pow(x, F.q)
+        lifted.append(x)
+    return sorted(lifted)
+
+
 def nilpotency_index(ext, an=None):
     """Smallest n >= 1 with M**n inside the conductor, for local R."""
     dec = (an or Analysis()).decomposition(ext.bottom)

@@ -24,7 +24,11 @@ from ringlat.algebra import (
 from ringlat.analysis import Analysis
 from ringlat.gfq import GF, rref
 
-from conftest import brute_force_idempotents
+from conftest import (
+    brute_force_idempotents,
+    prime_field_nilradical,
+    primitive_idempotents_mod_nil,
+)
 
 
 def test_poly_quotient_nilpotent(F2, T44):
@@ -215,21 +219,6 @@ def test_nilradical_matches_brute_force(seed, q):
         assert got == expected
 
 
-def prime_field_nilradical(ring):
-    """Reference nilradical: the kernel of x -> x**(p^m) over the prime field
-    GF(p), on the GF(p)-basis y^j * b and the base-p digits of each image."""
-    A = ring.ambient
-    F = A.field
-    p = F.p
-    pm = 1
-    while pm < ring.dim:
-        pm *= p
-    fp_basis = [gfq.vscale(F, p ** j, b) for b in ring.basis for j in range(F.e)]
-    digit_rows = [tuple(c // p ** i % p for c in A.pow(v, pm) for i in range(F.e))
-                  for v in fp_basis]
-    return rref(F, [gfq.lincomb(F, k, fp_basis) for k in gfq.left_kernel(GF(p), digit_rows)])
-
-
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
 def test_nilradical_matches_prime_field_route_on_every_node(q):
     """Over e > 1 the GF(q) kernel and the GF(p) digit kernel are two routes."""
@@ -277,8 +266,9 @@ IDEMPOTENT_CASES = ([pytest.param(seed, 2, id=str(seed)) for seed in range(4)]
 
 @pytest.mark.parametrize("seed, q", IDEMPOTENT_CASES)
 def test_idempotents_match_brute_force(seed, q):
-    """On the whole ambient, its bottom ring and every ring between: the proper
-    subrings are where ambient coordinates are not the ring's own."""
+    """On the whole ambient, its bottom ring and every ring between, against
+    the route through ring/Nil and, where it fits, the exhaustive scan: the
+    proper subrings are where ambient coordinates are not the ring's own."""
     from ringlat.gen import GenSpec, random_extension
     from ringlat.lattice import enumerate_interval
 
@@ -286,9 +276,10 @@ def test_idempotents_match_brute_force(seed, q):
     for ext in random_extension(spec):
         rings = {ext.top, ext.bottom, *enumerate_interval(ext).nodes}
         for ring in rings:
+            dec = local_decomposition(ring)
+            assert dec.idempotents == tuple(primitive_idempotents_mod_nil(ring))
             if q ** ring.dim > 4096:
                 continue
-            dec = local_decomposition(ring)
             assert sorted(dec.idempotents) == _primitive_by_scan(ring)
             assert sum(f.dim for f in dec.factors) == ring.dim
 

@@ -89,6 +89,32 @@ def test_nilradical_once_per_distinct_ring(write, monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
+@pytest.mark.parametrize("verb", ["analyze", "check"])
+@pytest.mark.parametrize("name", ["product", "f9-mixed", "y5"])
+def test_frobenius_once_per_distinct_ring(monkeypatch, verb, name):
+    """The Frobenius kernels of a ring serve its counts, its nilradical and
+    its local decomposition: its basis is raised to the q-th power once."""
+    calls = Counter()
+    spy(monkeypatch, algebra, "frobenius",
+        lambda args, kwargs, result: calls.update([ring_content(args[0])]))
+    run([verb, str(GOLDEN / f"{name}.json")])
+    assert calls and max(calls.values()) == 1
+
+
+def test_analyze_product_algebra_products(monkeypatch):
+    """Algebra.mul calls of one in-process analyze of the product golden."""
+    calls = []
+    original = algebra.Algebra.mul
+
+    def counting_mul(self, u, v):
+        calls.append(None)
+        return original(self, u, v)
+
+    monkeypatch.setattr(algebra.Algebra, "mul", counting_mul)
+    run(["analyze", str(GOLDEN / "product.json")])
+    assert len(calls) == 567
+
+
 @pytest.mark.parametrize("name", ["y5", "y7-over-y2", "y4"])
 def test_check_builds_each_filtration_once(monkeypatch, name):
     """check reads the filtration of a localization from the analysis for

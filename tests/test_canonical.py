@@ -42,6 +42,8 @@ from ringlat.gen import SHAPES, GenSpec, random_extension
 from ringlat.gfq import irreducible_poly
 from ringlat.lattice import enumerate_interval, interval_length, maximal_chains
 
+from conftest import prime_field_nilradical, primitive_idempotents_mod_nil
+
 
 @pytest.fixture(scope="module")
 def minimal_trio(F2, F4alg):
@@ -108,12 +110,18 @@ def test_cover_kind_matches_the_conductor_route(count_campaign):
 
 
 def test_frobenius_counts_match_the_local_decomposition(count_campaign):
-    """(r, s) is (number of local factors, dim - dim Nil) on every node."""
+    """(r, s) is (number of local factors, dim - dim Nil) on every node, and
+    the idempotents split in the Frobenius-fixed subring are those found
+    modulo the nilradical and lifted, an independent route."""
     nodes = 0
     for an, lat in count_campaign:
         for ring in lat.nodes:
             dec = local_decomposition(ring)
+            reference = tuple(primitive_idempotents_mod_nil(ring))
+            assert dec.idempotents == reference
             assert an.frobenius_counts(ring) == (len(dec.factors), ring.dim - dec.nilradical.dim)
+            assert an.frobenius_counts(ring) == (
+                len(reference), ring.dim - len(prime_field_nilradical(ring)))
             nodes += 1
     assert nodes == 1687
 

@@ -319,6 +319,21 @@ def test_check_subcommand(write):
     assert "fip-criteria-agreement" in out
 
 
+@pytest.mark.parametrize("doc", [
+    {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [1, 1]}},
+    {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 0, 1]},
+     "base_subring": {"generators": [[0, 1]]}},
+], ids=["f2", "y2-over-itself"])
+def test_check_trivial_pair(write, capsys, doc):
+    """R = S: the conductor is the whole ring, which has no quotient ring, so
+    its quotient-interval row is not computed; every row passes."""
+    assert main(["check", write(doc)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines)
+    assert lines[-1] == ("PASS quotient-interval-bijection-conductor: "
+                         "not computed: the conductor is the whole ring")
+
+
 @pytest.mark.parametrize("short,oracle_line", [
     (0, "4 nodes"),
     (374, "skipped: over subspace budget"),  # GF(2)^5 has 374 subspaces
