@@ -77,7 +77,7 @@ def classify_minimal(T, U, an=None):
         Q = f.maximal_ideal
         if Q.basis == M.basis:
             deg, rem = divmod(U.dim - Q.dim, res_t)
-            if not rem and gfq.is_prime(deg):
+            if not rem and gfq.factor_multiplicity(deg) == 1:
                 matches.append(MinimalKind(INERT, M, (Q,), (deg,)))
     # decomposed: two maximal ideals meeting in M, both residually trivial
     for fa, fb in itertools.combinations(max_u, 2):
@@ -191,14 +191,8 @@ def is_infra_integral(ext, an=None):
 
 
 def is_subintegral(ext, an=None):
-    """Residually trivial with a bijective contraction of maximal ideals."""
-    an = an or Analysis()
-    residuals = residual_extensions(ext, an)
-    if any(r.degree != 1 for r in residuals):
-        return False
-    images = [r.prime_bottom.basis for r in residuals]
-    n_bottom = len(an.decomposition(ext.bottom).factors)
-    return len(set(images)) == len(images) == n_bottom
+    """S is subintegral over R iff +R = S (Swan, On seminormality, 1980)."""
+    return seminormalization(ext, an) == ext.top
 
 
 def is_t_closed(ext, an=None):
@@ -246,9 +240,6 @@ class CanonicalDecomposition:
 
     seminormalization: Subalgebra
     t_closure: Subalgebra
-
-    def dims(self):
-        return (self.seminormalization.dim, self.t_closure.dim)
 
 
 def canonical_decomposition(ext, an=None):
@@ -346,7 +337,6 @@ class ChainCheckReport:
     all_ramified_or_decomposed: bool
     infra_integral: bool
     t_closed: bool
-    quasi_local_conductor_ok: bool  # vacuously true unless local and t-closed
     violations: tuple
 
     @property
@@ -369,22 +359,17 @@ def verify_chain_classification(lat, chain, an=None):
         violations.append("infra-integral flag disagrees with the step census")
     if tcl != all_inert:
         violations.append("t-closed flag disagrees with the step census")
-    quasi_local_ok = True
     if tcl and not ext.is_trivial and an.decomposition(ext.bottom).is_local:
         M = an.decomposition(ext.bottom).factors[0].maximal_ideal
-        cond = conductor(ext.bottom, ext.top)
-        if M.basis != cond.basis:
-            quasi_local_ok = False
+        if M.basis != conductor(ext.bottom, ext.top).basis:
             violations.append("local t-closed pair: conductor is not the maximal ideal")
         if not an.decomposition(ext.top).is_local:
-            quasi_local_ok = False
             violations.append("local t-closed pair: top ring is not local")
     return ChainCheckReport(
         all_inert=all_inert,
         all_ramified_or_decomposed=all_rd,
         infra_integral=infra,
         t_closed=tcl,
-        quasi_local_conductor_ok=quasi_local_ok,
         violations=tuple(violations),
     )
 
@@ -396,9 +381,7 @@ class AdditivityReport:
     above_t_closure: int
     t_split_ok: bool
     seminormal_split_applicable: bool
-    below_seminormalization: int = None
-    above_seminormalization: int = None
-    seminormal_split_ok: bool = None
+    seminormal_split_ok: bool  # None unless applicable
 
 
 def length_additivity_check(ext, an=None):
@@ -420,18 +403,15 @@ def length_additivity_check(ext, an=None):
     upper = an.lattice(Extension(plus, ext.top))
     upper_kinds = classify_cover_edges(upper, an)
     applicable = all(k.kind != RAMIFIED for k in upper_kinds.values())
-    b_plus = a_plus = split_ok = None
+    split_ok = None
     if applicable:
-        b_plus = interval_length(an.lattice(Extension(ext.bottom, plus)))
-        a_plus = interval_length(upper)
-        split_ok = total == b_plus + a_plus
+        split_ok = total == (interval_length(an.lattice(Extension(ext.bottom, plus)))
+                             + interval_length(upper))
     return AdditivityReport(
         total=total,
         below_t_closure=below,
         above_t_closure=above,
         t_split_ok=total == below + above,
         seminormal_split_applicable=applicable,
-        below_seminormalization=b_plus,
-        above_seminormalization=a_plus,
         seminormal_split_ok=split_ok,
     )

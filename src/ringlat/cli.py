@@ -439,9 +439,7 @@ def _check_suite(ext, args):
 
 def cmd_check(args):
     if args.gen:
-        spec = GenSpec(seed=args.seed, q=args.q, max_dim=args.max_dim,
-                       shape=args.gen, count=args.count)
-        exts = list(random_extension(spec))
+        exts = list(random_extension(gen_spec(args, args.gen)))
     else:
         exts = [load_instance(args.path)]
     failures = 0
@@ -460,9 +458,7 @@ def cmd_check(args):
 
 
 def cmd_gen(args):
-    spec = GenSpec(seed=args.seed, q=args.q, max_dim=args.max_dim,
-                   shape=args.shape, count=args.count)
-    docs = [serialize_instance(ext) for ext in random_extension(spec)]
+    docs = [serialize_instance(ext) for ext in random_extension(gen_spec(args, args.shape))]
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         for k, doc in enumerate(docs):
@@ -490,6 +486,15 @@ def _at_least(least):
             return int(text)
         raise argparse.ArgumentTypeError(f"expected a whole number, {least} or more, got {text!r}")
     return parse
+
+
+GEN_OPTIONS = ("seed", "q", "max_dim", "count")
+
+
+def gen_spec(args, shape):
+    """The GenSpec of the gen options given, with GenSpec's defaults for the rest."""
+    given = {k: getattr(args, k) for k in GEN_OPTIONS if getattr(args, k) is not None}
+    return GenSpec(shape=shape, **given)
 
 
 def _spec_value(name):
@@ -521,11 +526,11 @@ def make_parser():
                        help="work units the command may spend: closures, oracle "
                             "subspaces and maximal chains")
 
-    def gen_options(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--q", type=_spec_value("q"), default=2)
-        p.add_argument("--max-dim", type=_spec_value("max_dim"), default=5)
-        p.add_argument("--count", type=_spec_value("count"), default=1)
+    def gen_options(p):  # GenSpec supplies the defaults: seed 0, q 2, max-dim 5, count 1
+        p.add_argument("--seed", type=int)
+        p.add_argument("--q", type=_spec_value("q"))
+        p.add_argument("--max-dim", type=_spec_value("max_dim"))
+        p.add_argument("--count", type=_spec_value("count"))
 
     p = sub.add_parser("analyze", help="full analysis report")
     common(p)
@@ -569,6 +574,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "check" and (args.path is None) == (args.gen is None):
         parser.error("check needs exactly one of an instance path and --gen")
+    if args.command == "check" and args.path and any(
+            getattr(args, k) is not None for k in GEN_OPTIONS):
+        parser.error("--seed, --q, --max-dim and --count need --gen, not an instance path")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -39,7 +39,7 @@ class RejectionExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class GenSpec:
-    seed: int
+    seed: int = 0
     q: int = 2
     max_dim: int = 5
     shape: str = "mixed"

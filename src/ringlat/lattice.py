@@ -167,16 +167,18 @@ def longest_chain(lat):
 
 
 def is_chained(lat):
-    """True iff the nodes are totally ordered by inclusion, that is iff no node
-    has two upper covers: the meet of two incomparable nodes would."""
-    lower = [i for i, _ in lat.covers]
-    return len(set(lower)) == len(lower)
+    """True iff the nodes are totally ordered by inclusion."""
+    return first_incomparable_pair(lat) is None
 
 
 def first_incomparable_pair(lat):
-    for i, j in itertools.combinations(range(len(lat.nodes)), 2):
-        if not lat.leq(i, j) and not lat.leq(j, i):
-            return lat.nodes[i], lat.nodes[j]
+    """The first incomparable pair in index order, or None: the two lowest
+    upper covers of the lowest node b with two or more (the meet of two
+    incomparable nodes has two).  Every node lies on the chain below b or
+    above b, and a node above another comes after it in (dim, basis) order."""
+    for i in range(len(lat.nodes)):
+        if len(lat.up(i)) > 1:
+            return tuple(lat.nodes[j] for j in lat.up(i)[:2])
     return None
 
 

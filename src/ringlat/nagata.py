@@ -140,18 +140,11 @@ def filtration_conditions(data, an=None):
     return c1, c2, c3
 
 
-@dataclass(frozen=True)
-class FipResult:
-    fip: bool
-    witnesses: tuple            # arithmetic failures of the seminormal part
-
-
 def nagata_has_fip(ext, an=None):
     """Finiteness of the extended interval: the seminormal part must be
-    arithmetic."""
+    arithmetic.  Returns (fip, the arithmetic failures of the seminormal part)."""
     an = an or Analysis()
-    ok, failures = is_arithmetic(Extension(ext.bottom, seminormalization(ext, an)), an)
-    return FipResult(fip=ok, witnesses=failures)
+    return is_arithmetic(Extension(ext.bottom, seminormalization(ext, an)), an)
 
 
 def fip_subintegral_crosscheck(ext, an=None):
@@ -213,16 +206,16 @@ class NagataReport:
 def nagata_report(ext, an=None):
     an = an or Analysis()
     lat = an.lattice(ext)
-    fip_res = nagata_has_fip(ext, an)
-    criteria = {"seminormal_part_arithmetic": fip_res.fip}
+    fip, witnesses = nagata_has_fip(ext, an)
+    criteria = {"seminormal_part_arithmetic": fip}
     if is_subintegral(ext, an):
         a, b = fip_subintegral_crosscheck(ext, an)
         criteria["subintegral_crosscheck"] = {"arithmetic": a, "filtration": b}
     return NagataReport(
-        fip=fip_res.fip,
-        cardinality=len(lat.nodes) if fip_res.fip else None,
+        fip=fip,
+        cardinality=len(lat.nodes) if fip else None,
         length=interval_length(lat),
         lambda_value=lambda_invariant(ext, an),
-        witnesses=fip_res.witnesses,
+        witnesses=witnesses,
         criteria_agreement=criteria,
     )

@@ -17,6 +17,7 @@ from ringlat.algebra import (
     make_product,
 )
 from ringlat.analysis import Analysis
+from ringlat.canonical import residual_extensions
 from ringlat.gen import field_step_algebra, monomial_algebra
 from ringlat.gfq import GF, irreducible_poly
 from ringlat.nagata import _powers
@@ -105,6 +106,27 @@ def primitive_idempotents_mod_nil(ring):
             x = A.pow(x, F.q)
         lifted.append(x)
     return sorted(lifted)
+
+
+def incomparable_pair_scan(lat):
+    """Reference witness: the first incomparable pair of nodes in index
+    order, by a scan of all node pairs."""
+    for i, j in itertools.combinations(range(len(lat.nodes)), 2):
+        if not lat.leq(i, j) and not lat.leq(j, i):
+            return lat.nodes[i], lat.nodes[j]
+    return None
+
+
+def residual_subintegral(ext, an=None):
+    """Reference subintegrality: every residue-field extension is trivial
+    and contraction maps the maximal ideals of the top bijectively onto
+    those of the bottom."""
+    an = an or Analysis()
+    residuals = residual_extensions(ext, an)
+    if any(r.degree != 1 for r in residuals):
+        return False
+    images = [r.prime_bottom.basis for r in residuals]
+    return len(set(images)) == len(images) == len(an.decomposition(ext.bottom).factors)
 
 
 def nilpotency_index(ext, an=None):

@@ -111,7 +111,7 @@ def test_criterion_1_running_example_regression(ex44):
     assert not ky2.contains(ky3) and not ky3.contains(ky2)
     arithmetic, witnesses = is_arithmetic(ex44)
     assert arithmetic is False and witnesses
-    assert nagata_has_fip(ex44).fip is False
+    assert nagata_has_fip(ex44)[0] is False
     assert len(lat.nodes) == EX44_CARDINALITY
     assert interval_length(lat) == EX44_LENGTH
     elapsed = time.monotonic() - t0

@@ -188,7 +188,7 @@ def test_check_meets_each_crucial_ideal_with_r_once(monkeypatch):
     spy(monkeypatch, algebra, "intersect_with",
         lambda args, kwargs, result: calls.append(result))
     run(["check", str(GOLDEN / "product.json")])
-    assert len(calls) == 43
+    assert len(calls) == 40
 
 
 @pytest.mark.parametrize("name", ["y5", "product", "f9-mixed"])

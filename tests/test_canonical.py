@@ -1,3 +1,5 @@
+import itertools
+import pathlib
 import time
 
 import pytest
@@ -38,11 +40,14 @@ from ringlat.canonical import (
     t_closure,
     verify_chain_classification,
 )
+from ringlat.cli import load_instance
 from ringlat.gen import SHAPES, GenSpec, random_extension
 from ringlat.gfq import irreducible_poly
 from ringlat.lattice import enumerate_interval, interval_length, maximal_chains
 
-from conftest import prime_field_nilradical, primitive_idempotents_mod_nil
+from conftest import prime_field_nilradical, primitive_idempotents_mod_nil, residual_subintegral
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +233,27 @@ def test_t_closed_scan_matches_reference(q, shape, seed):
     assert pairs >= 6
 
 
+def test_is_subintegral_matches_the_residual_reference():
+    """+R = S against trivial residue fields and a bijective contraction, on
+    every pair of nodes n <= m of the goldens and of gen seed 31, q in
+    {2, 3, 4, 5, 7, 8, 9}, all four shapes."""
+    exts = [load_instance(str(path)) for path in sorted(GOLDEN.glob("*.json"))]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for shape in SHAPES:
+            exts.extend(random_extension(GenSpec(seed=31, q=q, max_dim=3 if q in (8, 9) else 4,
+                                                 shape=shape, count=5)))
+    verdicts = []
+    for ext in exts:
+        an = Analysis()
+        nodes = an.lattice(ext).nodes
+        for n, m in itertools.product(nodes, repeat=2):
+            if m.contains(n):
+                verdict = is_subintegral(Extension(n, m), an)
+                assert verdict == residual_subintegral(Extension(n, m), an)
+                verdicts.append(verdict)
+    assert (len(verdicts), sum(verdicts)) == (1471, 1078)
+
+
 def greatest_node(nodes, over):
     """The greatest of the nodes n with over(n), which must contain the rest."""
     hits = [n for n in nodes if over(n)]
@@ -239,7 +265,8 @@ def greatest_node(nodes, over):
 @pytest.mark.parametrize("q,seed", [(2, 21), (3, 31), (4, 41), (5, 51), (8, 81), (9, 91)])
 def test_closed_forms_match_node_scans(q, seed):
     """On every node n of seeded instances, +R and tR of [n, S] are the
-    greatest node of [n, S] subintegral, and infra-integral, over n."""
+    greatest node of [n, S] subintegral, by the residual route, and
+    infra-integral, over n."""
     max_dim = 3 if q in (8, 9) else 4
     pairs = 0
     for shape in ("mixed", "product-of-locals"):
@@ -251,7 +278,7 @@ def test_closed_forms_match_node_scans(q, seed):
                 sub = Extension(n, ext.top)
                 above = [m for m in nodes if m.contains(n)]
                 assert seminormalization(sub, an) == greatest_node(
-                    above, lambda m: is_subintegral(Extension(n, m), an))
+                    above, lambda m: residual_subintegral(Extension(n, m), an))
                 assert t_closure(sub, an) == greatest_node(
                     above, lambda m: is_infra_integral(Extension(n, m), an))
                 pairs += 1

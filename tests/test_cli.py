@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ringlat import cli
+from ringlat import cli, gfq
 from ringlat.cli import ParseError, main, parse_instance, serialize_instance
 from ringlat.gfq import count_subspaces
 
@@ -156,20 +156,39 @@ def test_oversized_field_is_refused_at_once(field, size):
     assert str(caught.value) == f"$.field: field size {size} exceeds supported bound 4096"
 
 
+def analyze_in_256_mb(path):
+    """Run `ringlat analyze path` in a child process held to 256 MB of
+    address space; returns the completed process and its wall time."""
+    limit = 256 * 2 ** 20
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringlat.cli", "analyze", path],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return proc, time.perf_counter() - start
+
+
 def test_degree_400_instance_is_refused_at_once(write):
     """F2[Y]/(Y^400 + 1), 1.3 KB, would build 400**3 structure constants: the
     parser refuses it in a child process held to 256 MB of address space."""
     doc = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [1] + [0] * 399 + [1]}}
-    limit = 256 * 2 ** 20
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "ringlat.cli", "analyze", write(doc)],
-        capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    elapsed = time.perf_counter() - start
+    proc, elapsed = analyze_in_256_mb(write(doc))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == (f"error: $.algebra.poly_quotient: dimension 400 exceeds "
                            f"the maximum {cli.MAX_DIM}\n")
+    assert elapsed < 1
+
+
+def test_extension_field_over_the_table_bound_is_refused_at_once(write):
+    """GF(61^2) names a field of 3,721 elements, within the field-size bound
+    but over the extension-field table bound: the parser refuses it before
+    building any table, in a child process held to 256 MB of address space."""
+    doc = {"field": {"p": 61, "e": 2, "modulus": [2, 0, 1]},
+           "algebra": {"poly_quotient": [0, 1]}}
+    proc, elapsed = analyze_in_256_mb(write(doc))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: $.field: extension field size 3721 exceeds table bound "
+                           f"{gfq.MAX_EXTENSION_Q}\n")
     assert elapsed < 1
 
 
@@ -229,10 +248,14 @@ def test_exit_code_budget(write):
     ["check", "--gen", "mixed", "--max-dim", "9"],
     ["gen", "--count", "-1"],
     ["check", str(GOLDEN / "y4.json"), "--gen", "mixed"],
+    ["check", str(GOLDEN / "y4.json"), "--q", "9", "--count", "5", "--seed", "3",
+     "--max-dim", "2"],
+    ["check", str(GOLDEN / "y4.json"), "--seed", "0"],
 ], ids=["unknown-option", "non-integer", "negative-budget", "bare-check", "zero-threads",
         "q-not-prime-power", "q-one", "q-over-field-bound", "q-large-prime",
         "q-no-default-modulus", "check-q-not-prime-power", "negative-max-dim", "max-dim-over-8",
-        "negative-count", "check-path-and-gen"])
+        "negative-count", "check-path-and-gen", "check-path-and-gen-options",
+        "check-path-and-default-seed"])
 def test_usage_error_exits_1(args):
     """A usage error has the parse/validation status 1, not the budget status
     2, with argparse's usage text on stderr."""

@@ -83,6 +83,16 @@ def test_prime_power():
             prime_power(q)
 
 
+@pytest.mark.parametrize("p, e", [(17, 2), (2, 9), (61, 2)])
+def test_extension_field_over_the_table_bound_is_refused(p, e):
+    """An extension field above MAX_EXTENSION_Q is refused before its
+    modulus is looked at or a table is built; a prime field is not."""
+    assert gfq.MAX_EXTENSION_Q == 256 < p ** e
+    with pytest.raises(ValueError, match=f"^extension field size {p ** e} exceeds table bound 256$"):
+        GF(p, e, (1,) * (e + 1))
+    assert GF(257).q == 257
+
+
 def test_irreducible_poly_search():
     F2 = GF(2)
     assert irreducible_poly(F2, 2) == (1, 1, 1)

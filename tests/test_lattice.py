@@ -11,9 +11,14 @@ from ringlat.algebra import (
     Subspace,
     generated_subalgebra,
     ideal_mul_rows,
+    localize_extension,
     make_product,
+    support,
 )
 from ringlat.analysis import Analysis, BudgetExceeded
+from ringlat.canonical import seminormalization
+from ringlat.cli import load_instance
+from ringlat.gen import SHAPES, GenSpec, random_extension
 from ringlat.gfq import GF, intersect_rowspaces, rref
 from ringlat.lattice import (
     ExtensionLattice,
@@ -31,6 +36,8 @@ from ringlat.lattice import (
     quotient_interval_check,
     to_dot,
 )
+
+from conftest import incomparable_pair_scan
 
 # regression values frozen from the brute-force oracle before the main build
 EX44_CARDINALITY = 6
@@ -194,6 +201,30 @@ def test_is_chained(ext44, ext_chain3):
     assert not is_chained(enumerate_interval(ext44))
 
 
+def test_first_incomparable_pair_matches_the_pair_scan():
+    """The branch-node witness is the first incomparable pair that the scan of
+    all node pairs finds, on every [R, S], [R, +R] and localization of the
+    goldens and of gen seed 23, q in {2, 3, 4, 5, 7, 8, 9}, all four shapes."""
+    exts = [load_instance(str(path)) for path in sorted(GOLDEN.glob("*.json"))]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for shape in SHAPES:
+            exts.extend(random_extension(GenSpec(seed=23, q=q, max_dim=3 if q in (8, 9) else 4,
+                                                 shape=shape, count=9)))
+    lattices = branched = 0
+    for ext in exts:
+        an = Analysis()
+        subs = [ext, Extension(ext.bottom, seminormalization(ext, an))]
+        subs += [localize_extension(ext, M, an) for M in support(ext, an)]
+        for sub in subs:
+            lat = an.lattice(sub)
+            pair = first_incomparable_pair(lat)
+            assert pair == incomparable_pair_scan(lat)
+            assert is_chained(lat) == (pair is None)
+            lattices += 1
+            branched += pair is not None
+    assert (lattices, branched) == (774, 206)
+
+
 def test_is_arithmetic_witness(ext44):
     ok, witnesses = is_arithmetic(ext44)
     assert not ok
@@ -272,9 +303,6 @@ def test_is_delta_extension_matches_compositum_definition():
     same instances the order, meets and joins read off the covers are
     containment, intersection and compositum, and distributivity gives the
     verdict and witness of the scan over tables made by linear algebra."""
-    from ringlat.cli import load_instance
-    from ringlat.gen import GenSpec, random_extension
-
     exts = [load_instance(str(path)) for path in sorted(GOLDEN.glob("*.json"))]
     for q in (2, 3):
         exts += random_extension(GenSpec(seed=4, q=q, max_dim=5, count=5))
@@ -297,8 +325,6 @@ def test_is_delta_extension_matches_compositum_definition():
 def test_order_queries_make_no_linear_algebra(monkeypatch):
     """On the golden lattices the order queries read the masks built from the
     covers: no rref, no row-space intersection, no containment test."""
-    from ringlat.cli import load_instance
-
     lats = [enumerate_interval(load_instance(str(path)))
             for path in sorted(GOLDEN.glob("*.json"))]
     calls = []
@@ -417,7 +443,6 @@ def test_order_reads_make_no_containment_test(monkeypatch, name):
     from pathlib import Path
 
     from ringlat.algebra import Subspace
-    from ringlat.cli import load_instance
 
     lat = enumerate_interval(load_instance(Path(__file__).parent / "golden" / f"{name}.json"))
     calls = []
@@ -444,8 +469,6 @@ def test_product_split(q, seed):
     (Dobbs-Picavet-Picavet-L'Hermitte 2012): both maximal ideals are in the
     support, sizes multiply, lengths add, and the localization at the
     maximal ideal of each factor is that factor's interval."""
-    from ringlat.algebra import localize_extension, support
-    from ringlat.gen import GenSpec, random_extension
     from ringlat.gfq import zero_vec
 
     local = list(random_extension(GenSpec(seed=seed, q=q, max_dim=3,
