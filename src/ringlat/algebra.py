@@ -250,16 +250,11 @@ def make_poly_quotient(field, coeffs):
     if any(not isinstance(c, int) or not 0 <= c < field.q for c in f):
         raise AlgebraError(f"coefficients must lie in range({field.q})")
     d = len(f) - 1
-    # powers of y reduced mod f, up to degree 2d-2
-    powers = [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]
-    for _ in range(d - 1):
-        prev = powers[-1]
-        shifted = [0] + list(prev[:-1])
-        top = prev[-1]
-        if top:
-            for j in range(d):
-                shifted[j] = field.sub(shifted[j], field.mul(top, f[j]))
-        powers.append(tuple(shifted))
+    # powers of y reduced mod f, up to degree 2d-2: y^(k+1) = y * y^k mod f
+    powers = [(1,)]
+    for _ in range(2 * d - 2):
+        powers.append(tuple(gfq.poly_mod(field, (0,) + powers[-1], f)))
+    powers = [y + (0,) * (d - len(y)) for y in powers]
     table = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
     one = tuple(1 if k == 0 else 0 for k in range(d))
     return Algebra(field, table, one)
@@ -491,20 +486,23 @@ def _split_idempotent(A, e, c):
     in eA."""
     F = A.field
     powers = [e]
-    cur = e
     while True:
-        cur = A.mul(cur, c)
-        coeffs = gfq.express(F, powers, cur)
-        if coeffs is not None:
+        cur = A.mul(powers[-1], c)
+        kernel = gfq.left_kernel(F, powers + [cur])
+        if kernel:
             break
         powers.append(cur)
     deg = len(powers)
-    # roots in GF(q) of x^deg - sum coeffs_i x^i, one Horner pass per candidate
+    # e, c, ..., c^(deg-1) are independent, so the kernel is one relation
+    # with a nonzero last entry: scaled to end in 1, it is the minimal
+    # polynomial, constant term first
+    poly = vscale(F, F.inv(kernel[0][-1]), kernel[0])
+    # its roots in GF(q), one Horner pass per candidate
     roots = []
     for lam in F.elements():
         acc = 1
-        for a in reversed(coeffs):
-            acc = F.sub(F.mul(acc, lam), a)
+        for a in reversed(poly[:-1]):
+            acc = F.add(F.mul(acc, lam), a)
         if acc == 0:
             roots.append(lam)
     if len(roots) != deg:

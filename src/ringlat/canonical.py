@@ -208,8 +208,8 @@ def seminormalization(ext, an=None):
     residue fields of R; and a ring T subintegral over R is R + Nil(T), as
     T/Nil(T) is the image of R/Nil(R).
     """
-    nil = (an or Analysis()).decomposition(ext.top).nilradical
-    return Subalgebra(ext.ambient, ext.bottom.basis + nil.basis, check=False)
+    _, nil = (an or Analysis()).frobenius(ext.top)
+    return Subalgebra(ext.ambient, ext.bottom.basis + nil, check=False)
 
 
 def t_closure(ext, an=None):

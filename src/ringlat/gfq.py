@@ -19,7 +19,8 @@ Polynomials over a field are coefficient lists, constant term first.  A few
 helpers (remainder, product and power mod a monic polynomial, monic gcd)
 serve `poly_is_irreducible`, Ben-Or's test, and `irreducible_poly`, the
 lexicographically first monic irreducible of a degree, which gives the
-default modulus of GF(p**e) and the field steps of `gen`.
+default modulus of GF(p**e) and the field steps of `gen`.  The remainder,
+`poly_mod`, also gives the powers of y in `algebra.make_poly_quotient`.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def irreducible_poly(field, degree):
 # The helpers below return polynomials with no trailing zeros: [] is 0.
 
 
-def _poly_mod(field, num, den):
+def poly_mod(field, num, den):
     """num mod den, for a monic den."""
     num = list(num)
     dn = len(den) - 1
@@ -263,7 +264,7 @@ def _poly_mulmod(field, a, b, f):
         if x:
             for j, y in enumerate(b):
                 prod[i + j] = field.add(prod[i + j], field.mul(x, y))
-    return _poly_mod(field, prod, f)
+    return poly_mod(field, prod, f)
 
 
 def _poly_powmod(field, a, k, f):
@@ -277,10 +278,10 @@ def _poly_powmod(field, a, k, f):
 
 
 def _poly_gcd(field, a, b):
-    """The monic gcd of a and b, not both 0.  _poly_mod divides by monic
+    """The monic gcd of a and b, not both 0.  poly_mod divides by monic
     polynomials only, so each divisor is made monic first."""
     while b:
-        a, b = b, _poly_mod(field, a, vscale(field, field.inv(b[-1]), b))
+        a, b = b, poly_mod(field, a, vscale(field, field.inv(b[-1]), b))
     return vscale(field, field.inv(a[-1]), a)
 
 
@@ -411,37 +412,19 @@ def contains_rows(field, rows, other_rows):
     return all(in_span(field, rows, v) for v in other_rows)
 
 
-def _rref_with_identity(field, rows):
-    """The rref of [rows | I].
-
-    Every row (a | x) of it has a = sum x_i rows_i.  The rows with a = 0
-    come last, and their x parts are an rref basis of the left kernel.
-    """
-    m = len(rows)
-    return rref(field, [tuple(r) + tuple(1 if i == j else 0 for j in range(m))
-                        for i, r in enumerate(rows)])
-
-
-def express(field, rows, vec):
-    """Coefficients writing vec over the (arbitrary) rows, or None.
-
-    Reducing (vec | 0) by the rref of [rows | I] leaves (vec - a | -x) with
-    a = sum x_i rows_i, so vec lies in the span iff the left part vanishes.
-    """
-    n = len(vec)
-    red = reduce_vec(field, _rref_with_identity(field, rows),
-                     tuple(vec) + zero_vec(len(rows)))
-    if any(red[:n]):
-        return None
-    return tuple(field.neg(x) for x in red[n:])
-
-
 def left_kernel(field, rows):
-    """Basis (rref) of all coefficient vectors x with sum x_i rows_i = 0."""
+    """Basis (rref) of all coefficient vectors x with sum x_i rows_i = 0.
+
+    Every row (a | x) of the rref of [rows | I] has a = sum x_i rows_i.  The
+    rows with a = 0 come last, and their x parts are an rref basis of the
+    kernel.
+    """
     if not rows:
         return ()
-    n = len(rows[0])
-    return tuple(row[n:] for row in _rref_with_identity(field, rows) if not any(row[:n]))
+    n, m = len(rows[0]), len(rows)
+    red = rref(field, [tuple(r) + tuple(1 if i == j else 0 for j in range(m))
+                       for i, r in enumerate(rows)])
+    return tuple(row[n:] for row in red if not any(row[:n]))
 
 
 def intersect_rowspaces(field, rows_a, rows_b, ncols):
@@ -501,14 +484,14 @@ def line_vectors(field, rows):
 
 
 def count_subspaces(q, n):
-    """Number of subspaces of GF(q)**n (sum of Gaussian binomials)."""
-    total = 1  # the zero space
-    for r in range(1, n + 1):
-        for piv in itertools.combinations(range(n), r):
-            free = sum(1 for i in range(r) for j in range(piv[i] + 1, n)
-                       if j not in piv)
-            total += q ** free
-    return total
+    """Number of subspaces of GF(q)**n, the Galois number G(n): G(0) = 1 and
+    G(k + 1) = 2 G(k) + (q**k - 1) G(k - 1) (Goldman and Rota, The number of
+    subspaces of a vector space, 1969).  At k = 0 the weight q**0 - 1 is 0,
+    so G(-1) never counts."""
+    prev, cur = 0, 1
+    for k in range(n):
+        prev, cur = cur, 2 * cur + (q ** k - 1) * prev
+    return cur
 
 
 def all_rref_matrices(field, n):

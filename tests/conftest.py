@@ -1,6 +1,8 @@
 """Shared fixtures, and the exhaustive references that only tests use."""
 
+import contextlib
 import itertools
+import signal
 
 import pytest
 
@@ -23,6 +25,21 @@ from ringlat.gfq import GF, irreducible_poly
 from ringlat.nagata import _powers
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once seconds of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def trial_division_irreducible(field, f):
     """Irreducibility of a monic f by trial division by every monic
     polynomial of degree at most deg f / 2."""
@@ -32,9 +49,21 @@ def trial_division_irreducible(field, f):
         return False
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(field.elements(), repeat=d):
-            if not gfq._poly_mod(field, f, tail + (1,)):
+            if not gfq.poly_mod(field, f, tail + (1,)):
                 return False
     return True
+
+
+def pivot_count_subspaces(q, n):
+    """Reference subspace count: one term q**free per pivot pattern of an
+    rref matrix, summed over all 2**n patterns."""
+    total = 1  # the zero space
+    for r in range(1, n + 1):
+        for piv in itertools.combinations(range(n), r):
+            free = sum(1 for i in range(r) for j in range(piv[i] + 1, n)
+                       if j not in piv)
+            total += q ** free
+    return total
 
 
 def brute_force_idempotents(ring, budget=4096):

@@ -12,10 +12,8 @@ import pytest
 
 from ringlat.algebra import (
     Extension,
-    Subalgebra,
     conductor,
     generated_subalgebra,
-    local_decomposition,
     localize_extension,
     make_poly_quotient,
     nilradical,
@@ -26,7 +24,6 @@ from ringlat.canonical import (
     DECOMPOSED,
     INERT,
     RAMIFIED,
-    canonical_decomposition,
     classify_cover_edges,
     crucial_traces,
     is_infra_integral,

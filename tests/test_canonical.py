@@ -4,13 +4,12 @@ import time
 
 import pytest
 
-from ringlat import canonical, gfq
+from ringlat import algebra, canonical, gfq
 from ringlat.algebra import (
     Extension,
     InternalInvariantError,
     Subalgebra,
     base_algebra,
-    conductor,
     generated_subalgebra,
     local_decomposition,
     make_poly_quotient,
@@ -252,6 +251,19 @@ def test_is_subintegral_matches_the_residual_reference():
                 assert verdict == residual_subintegral(Extension(n, m), an)
                 verdicts.append(verdict)
     assert (len(verdicts), sum(verdicts)) == (1471, 1078)
+
+
+def test_is_subintegral_decomposes_no_ring(monkeypatch, ext44, F2):
+    """+R = R + Nil(S) reads Nil(S) off the Frobenius kernels: deciding
+    subintegrality with a fresh Analysis splits no idempotents."""
+    calls = []
+    real = algebra.local_decomposition
+    monkeypatch.setattr(algebra, "local_decomposition",
+                        lambda *args: calls.append(args) or real(*args))
+    P = make_product(base_algebra(F2), base_algebra(F2))
+    extD = Extension(generated_subalgebra(P, []), P)
+    assert is_subintegral(ext44) and not is_subintegral(extD)
+    assert calls == []
 
 
 def greatest_node(nodes, over):

@@ -1,8 +1,7 @@
-import contextlib
+import argparse
 import json
 import os
 import resource
-import signal
 import subprocess
 import sys
 import time
@@ -14,6 +13,8 @@ import pytest
 from ringlat import cli, gfq
 from ringlat.cli import ParseError, main, parse_instance, serialize_instance
 from ringlat.gfq import count_subspaces
+
+from conftest import deadline
 
 EX44 = {"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 0, 0, 0, 1]}}
 F64 = {"field": {"p": 2, "e": 1},
@@ -77,6 +78,19 @@ def test_analyze_example(write):
     assert "timing" not in doc
 
 
+def test_second_main_call_builds_no_parser(write, capsys, monkeypatch):
+    """In-process callers, such as the benchmark, pay for the parser once."""
+    path = write(TRIVIAL)
+    assert main(["analyze", path]) == 0
+    first = capsys.readouterr().out
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kw: built.append(self) or real(self, *args, **kw))
+    assert main(["analyze", path]) == 0
+    assert built == [] and capsys.readouterr().out == first
+
+
 def test_analyze_trivial(write):
     rc, out, _ = run_cli(["analyze", write(TRIVIAL), "--json"])
     doc = json.loads(out)
@@ -124,21 +138,6 @@ def test_exit_code_validation_error(write):
                                  "one": [1, 0]}}}
     rc, _, err = run_cli(["analyze", write(doc)])
     assert rc == 1 and "commutative" in err
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the body once seconds of wall time have passed."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("field, size", [

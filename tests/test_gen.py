@@ -11,7 +11,6 @@ from ringlat.gen import (
     random_extension,
     staircase_monomials,
 )
-from ringlat.gfq import GF
 
 from conftest import all_staircases, exhaustive_top_algebras
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -13,7 +14,6 @@ from ringlat.gfq import (
     all_rref_matrices,
     complement_in,
     count_subspaces,
-    express,
     in_span,
     intersect_rowspaces,
     irreducible_poly,
@@ -23,7 +23,7 @@ from ringlat.gfq import (
     rref,
 )
 
-from conftest import trial_division_irreducible
+from conftest import deadline, pivot_count_subspaces, trial_division_irreducible
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 6)]
 
@@ -181,6 +181,18 @@ def dependent_matrices(draw):
     return F, rows, [draw(elem) for _ in rows]
 
 
+def _rebuilds(F, rows, vec):
+    """Whether some relation of left_kernel(rows + [vec]) has a nonzero last
+    entry, that is whether vec lies in the span of rows; such a relation
+    must rebuild vec from rows."""
+    rel = next((x for x in left_kernel(F, tuple(rows) + (tuple(vec),)) if x[-1]), None)
+    if rel is None:
+        return False
+    coeffs = gfq.vscale(F, F.neg(F.inv(rel[-1])), rel[:-1])
+    assert _combine(F, coeffs, rows) == tuple(vec)
+    return True
+
+
 @given(dependent_matrices())
 @settings(max_examples=150, deadline=None)
 def test_express_and_left_kernel_are_complete(data):
@@ -190,13 +202,11 @@ def test_express_and_left_kernel_are_complete(data):
     assert len(kernel) == len(rows) - len(red)
     assert rref(F, kernel) == kernel
     assert all(not any(_combine(F, x, rows)) for x in kernel)
-    inside = _combine(F, coeffs, rows)
-    got = express(F, rows, inside)
-    assert got is not None and _combine(F, got, rows) == inside
+    assert _rebuilds(F, rows, _combine(F, coeffs, rows))
     pivots = gfq.pivots_of(red)
     for j in range(len(rows[0])):
         if j not in pivots:  # the unit vector e_j is outside the span
-            assert express(F, rows, tuple(int(i == j) for i in range(len(rows[0])))) is None
+            assert not _rebuilds(F, rows, tuple(int(i == j) for i in range(len(rows[0]))))
 
 
 @pytest.mark.parametrize("q,modulus", [
@@ -224,12 +234,8 @@ def test_intersection_exhaustive_gf2():
 def test_express_and_reduce():
     F = GF(3)
     rows = ((1, 2, 0), (0, 1, 1))
-    coeffs = express(F, rows, (1, 0, 1))
-    acc = gfq.zero_vec(3)
-    for c, r in zip(coeffs, rows):
-        acc = gfq.vadd(F, acc, gfq.vscale(F, c, r))
-    assert acc == (1, 0, 1)
-    assert express(F, rows, (0, 0, 1)) is None
+    assert _rebuilds(F, rows, (1, 0, 1))
+    assert not _rebuilds(F, rows, (0, 0, 1))
     red = rref(F, rows)
     assert reduce_vec(F, red, (1, 2, 0)) == (0, 0, 0)
 
@@ -290,6 +296,34 @@ def test_subspace_enumeration_count(q, n):
     assert len(set(mats)) == len(mats)
     for m in mats:
         assert rref(F, m) == m
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_subspace_count_matches_the_pivot_patterns(q):
+    assert [count_subspaces(q, n) for n in range(11)] == \
+        [pivot_count_subspaces(q, n) for n in range(11)]
+
+
+def _gaussian_binomial(q, n, k):
+    """The number of k-dimensional subspaces of GF(q)**n, by the product formula."""
+    num = math.prod(q ** (n - i) - 1 for i in range(k))
+    den = math.prod(q ** (i + 1) - 1 for i in range(k))
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("q", [2, 4093])
+def test_subspace_count_is_the_sum_of_gaussian_binomials(q):
+    for n in range(49):
+        assert count_subspaces(q, n) == sum(_gaussian_binomial(q, n, k) for k in range(n + 1))
+
+
+def test_subspace_count_is_fast_at_codim_40():
+    """The count sizes the oracle's charge before any subspace is scanned, so
+    it must not itself walk the 2**n pivot patterns."""
+    with deadline(1):
+        total = count_subspaces(2, 40)
+    assert total == sum(_gaussian_binomial(2, 40, k) for k in range(41))
 
 
 # ---------------------------------------------------------------------------
