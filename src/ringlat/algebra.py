@@ -483,7 +483,13 @@ def _primitive_idempotents(A, fixed):
 
 def _split_idempotent(A, e, c):
     """Split the idempotent e along c in A, via the minimal polynomial of c
-    in eA."""
+    in eA.
+
+    c is semisimple with its eigenvalues in GF(q), so its minimal polynomial
+    is a product of distinct linear factors: `gfq.poly_roots` certifies that
+    and finds the roots, and Lagrange interpolation at each root gives one
+    idempotent of the split.
+    """
     F = A.field
     powers = [e]
     while True:
@@ -497,15 +503,8 @@ def _split_idempotent(A, e, c):
     # with a nonzero last entry: scaled to end in 1, it is the minimal
     # polynomial, constant term first
     poly = vscale(F, F.inv(kernel[0][-1]), kernel[0])
-    # its roots in GF(q), one Horner pass per candidate
-    roots = []
-    for lam in F.elements():
-        acc = 1
-        for a in reversed(poly[:-1]):
-            acc = F.add(F.mul(acc, lam), a)
-        if acc == 0:
-            roots.append(lam)
-    if len(roots) != deg:
+    roots = gfq.poly_roots(F, poly)
+    if roots is None:
         raise InternalInvariantError(
             "minimal-polynomial-not-split",
             "semisimple splitting element has a non-split minimal polynomial")

@@ -218,17 +218,20 @@ def t_closure(ext, an=None):
     of κ(N ∩ R), the greatest intermediate ring infra-integral over R.
 
     Q is a power of q, so x -> x^Q - x is GF(q)-linear and tR is the kernel
-    of one linear map, S -> the product of the S/N.
+    of one linear map, S -> the product of the S/N.  Q depends on N only
+    through the residue degree of N ∩ R, so each basis vector is raised to
+    each distinct Q once.
     """
     an = an or Analysis()
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
     residuals = residual_extensions(ext, an)
+    exponents = [F.q ** (R.dim - r.prime_bottom.dim) for r in residuals]
 
     def residues(s):
-        return sum((gfq.reduce_vec(F, r.prime_top.basis,
-                                   gfq.vsub(F, A.pow(s, F.q ** (R.dim - r.prime_bottom.dim)), s))
-                    for r in residuals), ())
+        powers = {Q: A.pow(s, Q) for Q in set(exponents)}
+        return sum((gfq.reduce_vec(F, r.prime_top.basis, gfq.vsub(F, powers[Q], s))
+                    for r, Q in zip(residuals, exponents)), ())
 
     kernel = gfq.left_kernel(F, [residues(s) for s in S.basis])
     return Subalgebra(A, [gfq.lincomb(F, c, S.basis) for c in kernel], check=False)

@@ -18,10 +18,10 @@ from .algebra import (
     AlgebraError,
     Extension,
     generated_subalgebra,
-    local_decomposition,
     make_poly_quotient,
     make_product,
 )
+from .analysis import Analysis
 from .canonical import is_subintegral
 from .gfq import GF, irreducible_poly, prime_power
 
@@ -144,7 +144,8 @@ def _shape_ok(ext, shape):
     if ext.is_trivial:
         return False
     if shape == "local-subintegral":
-        return local_decomposition(ext.bottom).is_local and is_subintegral(ext)
+        an = Analysis()
+        return an.frobenius_counts(ext.bottom)[0] == 1 and is_subintegral(ext, an)
     return True
 
 

@@ -16,11 +16,14 @@ field they compute with plain ints and reduce mod p, over an extension field
 they index local table rows.
 
 Polynomials over a field are coefficient lists, constant term first.  A few
-helpers (remainder, product and power mod a monic polynomial, monic gcd)
-serve `poly_is_irreducible`, Ben-Or's test, and `irreducible_poly`, the
-lexicographically first monic irreducible of a degree, which gives the
-default modulus of GF(p**e) and the field steps of `gen`.  The remainder,
-`poly_mod`, also gives the powers of y in `algebra.make_poly_quotient`.
+helpers (division and remainder by, product and power mod a monic
+polynomial, monic gcd) serve `poly_is_irreducible`, Ben-Or's test,
+`irreducible_poly`, the lexicographically first monic irreducible of a
+degree, which gives the default modulus of GF(p**e) and the field steps of
+`gen`, and `poly_roots`, the roots of a product of distinct linear factors
+by Cantor and Zassenhaus's gcd split, which `algebra` reads to split
+idempotents.  The remainder, `poly_mod`, also gives the powers of y in
+`algebra.make_poly_quotient`.
 """
 
 from __future__ import annotations
@@ -238,16 +241,23 @@ def irreducible_poly(field, degree):
 
 def poly_mod(field, num, den):
     """num mod den, for a monic den."""
+    return _poly_divmod(field, num, den)[1]
+
+
+def _poly_divmod(field, num, den):
+    """(quotient, remainder) of num by a monic den."""
     num = list(num)
     dn = len(den) - 1
+    quot = [0] * max(len(num) - dn, 0)
     for k in range(len(num) - 1, dn - 1, -1):
         c = num[k]
         if c:
+            quot[k - dn] = c
             for j in range(dn + 1):
                 num[k - dn + j] = field.sub(num[k - dn + j], field.mul(c, den[j]))
     while num and num[-1] == 0:
         num.pop()
-    return num
+    return quot, num
 
 
 def _poly_sub(field, a, b):
@@ -283,6 +293,62 @@ def _poly_gcd(field, a, b):
     while b:
         a, b = b, poly_mod(field, a, vscale(field, field.inv(b[-1]), b))
     return vscale(field, field.inv(a[-1]), a)
+
+
+def poly_roots(field, f):
+    """The roots of a monic f of degree >= 1, sorted, or None unless f is a
+    product of distinct linear factors.
+
+    Degree 1 has the root -f[0].  Above that, f has deg f distinct roots iff
+    it divides x**q - x, which one power x**q mod f certifies; then
+    Cantor and Zassenhaus (A new algorithm for factoring polynomials over
+    finite fields, 1981) split f by gcds: O(deg(f)**2 log q) field
+    operations, where evaluating f at every element of GF(q) costs
+    O(deg(f) q).  Over odd q, x**q = x * (x**((q - 1) / 2))**2, and
+    x**((q - 1) / 2) - 1 is also the first splitter, at a = 0.
+    """
+    f = tuple(f)
+    if len(f) == 2:
+        return [field.neg(f[0])]
+    x = [0, 1]
+    if field.p == 2:
+        if _poly_powmod(field, x, field.q, f) != x:
+            return None
+        return sorted(_split_roots(field, f, 0))
+    half = _poly_powmod(field, x, (field.q - 1) // 2, f)
+    if _poly_mulmod(field, x, _poly_mulmod(field, half, half, f), f) != x:
+        return None
+    return sorted(_split_roots(field, f, 0, _poly_sub(field, half, [1])))
+
+
+def _split_roots(field, f, start, h=None):
+    """The roots of a monic f that divides x**q - x, which no a < start splits.
+
+    For a = start, start + 1, ... in turn, the splitter h is 0 or not at
+    each root r: over odd q, h = (x + a)**((q - 1) / 2) - 1 is 0 where r + a
+    is a nonzero square; over q = 2**e, the trace h = sum((a x)**(2**i),
+    i < e) is 0 where Tr(a r) = 0.  Two distinct roots part at some a, and
+    then gcd(f, h) is a proper factor of f.  Neither it nor its cofactor
+    splits at a or before, so both recurse from a + 1.  h, if given, is the
+    splitter at start.
+    """
+    if len(f) == 2:
+        return [field.neg(f[0])]
+    for a in range(start, field.q):
+        if h is None:
+            if field.p == 2:
+                h = t = poly_mod(field, (0, a), f)
+                for _ in range(field.e - 1):
+                    t = _poly_mulmod(field, t, t, f)
+                    h = _poly_sub(field, h, t)  # in characteristic 2, h + t
+            else:
+                h = _poly_sub(field, _poly_powmod(field, [a, 1], (field.q - 1) // 2, f), [1])
+        g = _poly_gcd(field, f, h)
+        if 1 < len(g) < len(f):
+            cofactor = _poly_divmod(field, f, g)[0]
+            return _split_roots(field, g, a + 1) + _split_roots(field, cofactor, a + 1)
+        h = None
+    raise AssertionError("no shift splits a polynomial that divides x**q - x")
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,19 @@ def trial_division_irreducible(field, f):
     return True
 
 
+def scan_roots(field, poly):
+    """Reference roots of a polynomial, constant term first: its roots in
+    GF(q), one Horner pass per candidate."""
+    roots = []
+    for lam in field.elements():
+        acc = 1
+        for a in reversed(poly[:-1]):
+            acc = field.add(field.mul(acc, lam), a)
+        if acc == 0:
+            roots.append(lam)
+    return roots
+
+
 def pivot_count_subspaces(q, n):
     """Reference subspace count: one term q**free per pivot pattern of an
     rref matrix, summed over all 2**n patterns."""

@@ -8,7 +8,9 @@ from ringlat.algebra import (
     AlgebraError,
     Extension,
     Ideal,
+    InternalInvariantError,
     Subalgebra,
+    _split_idempotent,
     base_algebra,
     conductor,
     generated_subalgebra,
@@ -306,6 +308,39 @@ def test_local_decomposition_builds_no_algebra(monkeypatch):
         (1, 1), (2, 1), (2, 2)]
     assert sorted(dec_p.idempotents) == _primitive_by_scan(P.full())
     assert sorted(dec_r.idempotents) == _primitive_by_scan(R)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4093])
+def test_split_idempotent_refuses_a_non_split_minimal_polynomial(p):
+    """y in F_p[Y]/(Y^2) is nilpotent, with minimal polynomial x^2, and y in
+    F_p[Y]/(g), g irreducible of degree 2, generates GF(p^2), with minimal
+    polynomial g: neither has two distinct roots in GF(p)."""
+    F = GF(p)
+    for f in ((0, 0, 1), gfq.irreducible_poly(F, 2)):
+        A = make_poly_quotient(F, f)
+        with pytest.raises(InternalInvariantError) as caught:
+            _split_idempotent(A, A.one, A.basis_vec(1))
+        assert caught.value.tag == "minimal-polynomial-not-split"
+
+
+@pytest.mark.parametrize("p", [409, 4093])
+def test_idempotent_splitting_work_does_not_grow_with_the_field(monkeypatch, p):
+    """Splitting F_p[Y]/(Y^2 - Y) and F_p^8 into their local factors makes a
+    number of field multiplications that grows with log p, not with p."""
+    F = GF(p)
+    calls = []
+    original = GF.mul
+
+    def counting_mul(self, a, b):
+        calls.append(None)
+        return original(self, a, b)
+
+    monkeypatch.setattr(GF, "mul", counting_mul)
+    for A, factors in ((make_poly_quotient(F, (0, p - 1, 1)), 2),
+                       (make_product(*[base_algebra(F)] * 8), 8)):
+        calls.clear()
+        assert len(local_decomposition(A.full()).factors) == factors
+        assert len(calls) < 1000
 
 
 def test_quotient_examples(F2, T44):

@@ -41,7 +41,7 @@ from ringlat.canonical import (
 )
 from ringlat.cli import load_instance
 from ringlat.gen import SHAPES, GenSpec, random_extension
-from ringlat.gfq import irreducible_poly
+from ringlat.gfq import GF, irreducible_poly
 from ringlat.lattice import enumerate_interval, interval_length, maximal_chains
 
 from conftest import prime_field_nilradical, primitive_idempotents_mod_nil, residual_subintegral
@@ -383,6 +383,28 @@ def test_t_closure_examples(ext44, F2, F4alg):
     assert tcl.dim == 2
     assert is_infra_integral(Extension(R, tcl))
     assert is_t_closed(Extension(tcl, S.full()))
+
+
+def test_t_closure_raises_each_basis_vector_once_per_residue_field_size(monkeypatch):
+    """t_closure raises each basis vector of S to each distinct power Q once,
+    not once per maximal ideal of S: over GF(5), GF(5)^4 above GF(5)*1 has
+    Q = 5 at all four maximal ideals, and GF(25) x GF(5) x GF(5) above itself
+    has Q = 25 at one and Q = 5 at two."""
+    F = GF(5)
+    split = make_product(*[base_algebra(F)] * 4)
+    mixed = make_product(make_poly_quotient(F, irreducible_poly(F, 2)),
+                         base_algebra(F), base_algebra(F))
+    original = algebra.Algebra.pow
+    for ext, expected in ((Extension(generated_subalgebra(split, []), split), [5] * 4),
+                          (Extension(mixed.full()), [5] * 4 + [25] * 4)):
+        an = Analysis()
+        residual_extensions(ext, an)  # the local decompositions raise powers of their own
+        calls = []
+        monkeypatch.setattr(algebra.Algebra, "pow",
+                            lambda self, u, k: calls.append(k) or original(self, u, k))
+        t_closure(ext, an)
+        monkeypatch.undo()
+        assert sorted(calls) == expected
 
 
 def test_canonical_decomposition_chain(F2, F4alg):

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from ringlat import cli
+from ringlat import algebra, cli
 from ringlat.algebra import local_decomposition
 from ringlat.canonical import is_subintegral
 from ringlat.gen import (
@@ -120,3 +120,22 @@ def test_gen_streams_with_field_steps_are_pinned(argv, digest, capsys):
     lex-first irreducible; a different search result changes the stream."""
     assert cli.main(["gen", "--shape", *argv.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q,digest", [
+    (2, "bf995da2c1f1a28672b4e4b7e713a24b71f3cd15afd23cad322b6061fe44e02b"),
+    (3, "9bcaf067a8627e2770fbd65f23b1873518ff8cdc663c069b098bda5991623cff"),
+    (4, "6d41bf86bc7f84d3db0c6f76726058f064b919e40bf5abbc0257deb1b01f23d0"),
+    (9, "2f28deee9e7e4dfcdecf6459b848613b96c6d4ea73660d9261f1e2de9149d527")])
+def test_local_subintegral_stream_splits_no_idempotents(monkeypatch, capsys, q, digest):
+    """The shape test of a local-subintegral attempt reads local-ness off the
+    Frobenius counts of the bottom, so the pinned stream comes with no
+    local decomposition: no ring's idempotents are split."""
+    calls = []
+    real = algebra._primitive_idempotents
+    monkeypatch.setattr(algebra, "_primitive_idempotents",
+                        lambda *args: calls.append(args) or real(*args))
+    argv = f"local-subintegral --q {q} --max-dim 6 --count 20 --seed 1"
+    assert cli.main(["gen", "--shape", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert calls == []

@@ -23,7 +23,7 @@ from ringlat.gfq import (
     rref,
 )
 
-from conftest import deadline, pivot_count_subspaces, trial_division_irreducible
+from conftest import deadline, pivot_count_subspaces, scan_roots, trial_division_irreducible
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 6)]
 
@@ -120,6 +120,52 @@ def test_irreducible_poly_lex_first(q, degree, expected):
     """The lexicographically first monic irreducible; over GF(1021) from
     degree 3 on, a trial-division search takes far longer than a test."""
     assert irreducible_poly(GF(*prime_power(q)), degree) == expected
+
+
+def poly_product(F, *factors):
+    """The product of polynomials over F, constant term first."""
+    out = (1,)
+    for g in factors:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] = F.add(prod[i + j], F.mul(a, b))
+        out = tuple(prod)
+    return out
+
+
+def linear_factors(F, roots):
+    return [(F.neg(r), 1) for r in roots]
+
+
+def field_of_size(q):
+    p, e = prime_power(q)
+    return GF(p, e, irreducible_poly(GF(p), e) if e > 1 else None)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 256, 409, 4093])
+def test_poly_roots_match_the_scan(q):
+    """Random sets of distinct roots, of every degree up to min(q, 12): the
+    roots of their product are the set, sorted, as the Horner scan finds."""
+    F = field_of_size(q)
+    rng = random.Random(q)
+    for degree in range(1, min(q, 12) + 1):
+        for _ in range(3):
+            roots = rng.sample(range(q), degree)
+            f = poly_product(F, *linear_factors(F, roots))
+            assert gfq.poly_roots(F, f) == scan_roots(F, f) == sorted(roots), roots
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 409, 4093])
+def test_poly_roots_refuse_a_repeated_root_and_an_irreducible_factor(q):
+    F = field_of_size(q)
+    quadratic = irreducible_poly(F, 2)
+    for f in (poly_product(F, *linear_factors(F, [1, 1])),
+              poly_product(F, *linear_factors(F, [0, 1, 0])),
+              quadratic,
+              poly_product(F, quadratic, *linear_factors(F, [0, 1]))):
+        assert gfq.poly_roots(F, f) is None, f
+        assert len(scan_roots(F, f)) < len(f) - 1
 
 
 @st.composite
