@@ -10,7 +10,6 @@ from .algebra import (  # noqa: F401
     InternalInvariantError,
     LocalDecomposition,
     Subalgebra,
-    base_algebra,
     conductor,
     frobenius,
     generated_subalgebra,

@@ -97,10 +97,6 @@ class Algebra:
     def basis(self):
         return tuple(self.basis_vec(i) for i in range(self.dim))
 
-    @property
-    def zero(self):
-        return zero_vec(self.dim)
-
     def mul(self, u, v):
         return gfq.algebra_product(self.field, self.table, u, v)
 
@@ -122,18 +118,10 @@ class Algebra:
             k >>= 1
         return result
 
-    def elements(self):
-        """All q**dim coordinate vectors."""
-        return itertools.product(self.field.elements(), repeat=self.dim)
-
     def full(self):
         if not hasattr(self, "_full"):
             self._full = Subalgebra(self, self.basis(), check=False)
         return self._full
-
-    def same_table(self, other):
-        return (self.field.same_field(other.field) and self.dim == other.dim
-                and self.table == other.table and self.one == other.one)
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, q={self.field.q})"
@@ -258,11 +246,6 @@ def make_poly_quotient(field, coeffs):
     table = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
     one = tuple(1 if k == 0 else 0 for k in range(d))
     return Algebra(field, table, one)
-
-
-def base_algebra(field):
-    """The field itself as a one-dimensional algebra."""
-    return make_poly_quotient(field, (0, 1))
 
 
 def make_product(*algebras):
@@ -435,14 +418,6 @@ class LocalDecomposition:
     ring: Subalgebra              # the decomposed ring
     factors: tuple
     nilradical: Ideal             # the intersection of the maximal ideals
-
-    @property
-    def idempotents(self):
-        return tuple(f.idempotent for f in self.factors)
-
-    @property
-    def maximal_ideals(self):
-        return tuple(f.maximal_ideal for f in self.factors)
 
     @property
     def is_local(self):

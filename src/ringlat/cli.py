@@ -422,7 +422,7 @@ def _check_suite(ext, args):
     arith, _ = is_arithmetic(ext, an)
     if arith:
         delta, _ = is_delta_extension(lat)
-        dist, _ = check_distributivity(lat)
+        dist = check_distributivity(lat)
         yield "arithmetic-implies-delta-distributive", delta and dist, \
             f"delta={delta} distributive={dist}"
 

@@ -249,12 +249,14 @@ def _poly_divmod(field, num, den):
     num = list(num)
     dn = len(den) - 1
     quot = [0] * max(len(num) - dn, 0)
+    terms = [(j, d) for j, d in enumerate(den[:dn]) if d]
     for k in range(len(num) - 1, dn - 1, -1):
         c = num[k]
         if c:
             quot[k - dn] = c
-            for j in range(dn + 1):
-                num[k - dn + j] = field.sub(num[k - dn + j], field.mul(c, den[j]))
+            num[k] = 0
+            for j, d in terms:
+                num[k - dn + j] = field.sub(num[k - dn + j], field.mul(c, d))
     while num and num[-1] == 0:
         num.pop()
     return quot, num
@@ -270,9 +272,10 @@ def _poly_sub(field, a, b):
 def _poly_mulmod(field, a, b, f):
     """a * b mod the monic f."""
     prod = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in terms:
                 prod[i + j] = field.add(prod[i + j], field.mul(x, y))
     return poly_mod(field, prod, f)
 
@@ -526,22 +529,16 @@ def complement_in(field, sub_rows, sup_rows):
                  if (red := reduce_insert(field, cur, row)) is not None)
 
 
-def span_vectors(field, rows):
-    """All elements of the row space (q**rank vectors)."""
-    if not rows:
-        return
-    for coeffs in itertools.product(field.elements(), repeat=len(rows)):
-        yield lincomb(field, coeffs, rows)
-
-
 def line_vectors(field, rows):
     """One vector of each line (1-dim subspace) of the span of independent rows.
 
-    The representative of a line is the first of its vectors that
-    span_vectors meets: its coefficient tuple over rows has leading entry 1.
-    For echelon rows (as rref returns them) that is the vector whose leading
-    entry is 1, the lexicographically first vector of its line.  Vectors
-    come in span_vectors order, (q**k - 1) / (q - 1) of them for k rows.
+    The representative of a line is the vector whose coefficient tuple over
+    rows has leading entry 1; for echelon rows (as rref returns them) that
+    is the vector whose leading entry is 1, the lexicographically first
+    vector of its line.  Vectors come in the order in which
+    itertools.product(field.elements(), repeat=k) meets their coefficient
+    tuples, 0 being the first element: (q**k - 1) / (q - 1) of them for k
+    rows.
     """
     k = len(rows)
     for lead in reversed(range(k)):

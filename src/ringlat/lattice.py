@@ -11,15 +11,17 @@ X ∩ C, give X, because X = T + (X ∩ C) and a ring strictly between T and X
 takes the lines it contains.  A brute-force scan over all subspaces serves as
 an independent oracle.  Both charge their analysis before they work: one unit
 per line vector of each node expanded, or per subspace to be scanned.  The
-order, meets, joins, the delta test and distributivity are read off bitmasks
-built from the covers, with no linear algebra.  A maximal chain is a plain
-tuple of node indices, a path of covers from bottom to top; whatever belongs
-to its steps belongs to the covers and is keyed by them.
+order and joins are read off bitmasks built from the covers, and the delta
+test and distributivity are local criteria on the covers, with no linear
+algebra.  A maximal chain is a plain tuple of node indices, a path of covers
+from bottom to top; whatever belongs to its steps belongs to the covers and
+is keyed by them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,17 +61,10 @@ class ExtensionLattice:
             self.above[i] |= self.above[j]
         self._up = tuple(map(tuple, up))
 
-    def leq(self, i, j):
-        return bool(self.above[i] >> j & 1)
-
     def join(self, i, j):
         """The compositum: the common upper bound of least dimension, so index."""
         common = self.above[i] & self.above[j]
         return (common & -common).bit_length() - 1
-
-    def meet(self, i, j):
-        """The intersection: the common lower bound of greatest index."""
-        return (self.below[i] & self.below[j]).bit_length() - 1
 
     def up(self, i):
         """The upper covers of nodes[i], in increasing index order."""
@@ -145,25 +140,21 @@ def brute_force_interval(ext, an=None):
     return frozenset(found)
 
 
+def _path_lengths(lat):
+    """The lengths of the shortest and the longest bottom-to-top path of covers."""
+    short, long = {lat.bottom: 0}, {lat.bottom: 0}
+    for i, j in lat.covers:  # nodes are sorted by dimension: topological order
+        if i in short:
+            short[j] = min(short.get(j, short[i] + 1), short[i] + 1)
+            long[j] = max(long.get(j, 0), long[i] + 1)
+    if lat.top not in short:
+        raise AlgebraError("lattice has no bottom-to-top path")
+    return short[lat.top], long[lat.top]
+
+
 def interval_length(lat):
     """Longest bottom-to-top path in the cover relation."""
-    return len(longest_chain(lat)) - 1
-
-
-def longest_chain(lat):
-    """A witness chain attaining the interval length, as a tuple of node indices."""
-    dist = {lat.bottom: 0}
-    parent = {lat.bottom: None}
-    for i, j in lat.covers:  # nodes are sorted by dimension: topological order
-        if i in dist and dist[i] + 1 > dist.get(j, -1):
-            dist[j] = dist[i] + 1
-            parent[j] = i
-    if lat.top not in dist:
-        raise AlgebraError("lattice has no bottom-to-top path")
-    chain = [lat.top]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    return tuple(reversed(chain))
+    return _path_lengths(lat)[1]
 
 
 def is_chained(lat):
@@ -211,26 +202,37 @@ def is_pinched_at(lat, node):
 
 
 def is_delta_extension(lat):
-    """True iff the module sum T + U of any two nodes equals their compositum:
-    T + U lies in T ∨ U and has dimension dim T + dim U - dim(T ∧ U)."""
+    """True iff the module sum of any two nodes is their compositum; else
+    the first pair U, V of upper covers of a node T, in node order, with
+    dim(U ∨ V) != dim U + dim V - dim T.
+
+    Pairs of upper covers suffice.  U ∩ V = T, so U + V = U ∨ V iff the
+    dimensions agree, and then U + V covers U and V: by the modular law of
+    subspaces a ring Z with U ⊆ Z ⊆ U + V is U + (Z ∩ V), and Z ∩ V is T
+    or V.  For any X and Y take maximal chains X_0 ⊂ ... ⊂ X_m of
+    [X ∧ Y, X] and Y_0 ⊂ ... ⊂ Y_n of [X ∧ Y, Y]; by induction on i + j
+    each X_i + Y_j is a ring covering X_(i-1) + Y_j and X_i + Y_(j-1),
+    which reaches X + Y.
+    """
     dim = [node.dim for node in lat.nodes]
-    for i, j in itertools.combinations(range(len(lat.nodes)), 2):
-        if dim[i] + dim[j] != dim[lat.meet(i, j)] + dim[lat.join(i, j)]:
-            return False, (lat.nodes[i], lat.nodes[j])
+    for t in range(len(lat.nodes)):
+        for u, v in itertools.combinations(lat.up(t), 2):
+            if dim[lat.join(u, v)] != dim[u] + dim[v] - dim[t]:
+                return False, (lat.nodes[u], lat.nodes[v])
     return True, None
 
 
 def check_distributivity(lat):
-    """Meet/join distributivity over all node triples; first failure returned."""
-    n = len(lat.nodes)
-    meet = {(i, j): lat.meet(i, j) for i in range(n) for j in range(n)}
-    join = {(i, j): lat.join(i, j) for i in range(n) for j in range(n)}
-    for b, c, d in itertools.product(range(n), repeat=3):
-        if meet[b, join[c, d]] != join[meet[b, c], meet[b, d]]:
-            return False, (lat.nodes[b], lat.nodes[c], lat.nodes[d])
-        if join[b, meet[c, d]] != meet[join[b, c], join[b, d]]:
-            return False, (lat.nodes[b], lat.nodes[c], lat.nodes[d])
-    return True, None
+    """True iff the lattice is distributive: iff every maximal chain has as
+    many steps as there are join-irreducibles (one lower cover) and as
+    meet-irreducibles (one upper cover).  A finite lattice is distributive
+    iff it is locally distributive upward and downward, and each is that
+    chain-length condition (Dilworth, Avann; see Monjardet, A use for
+    frequently rediscovering a concept, Order 1985)."""
+    shortest, longest = _path_lengths(lat)
+    joins = sum(k == 1 for k in Counter(j for _, j in lat.covers).values())
+    meets = sum(k == 1 for k in Counter(i for i, _ in lat.covers).values())
+    return shortest == longest == joins == meets
 
 
 def maximal_chains(lat, limit=DEFAULT_BUDGET):
@@ -279,13 +281,12 @@ def quotient_interval_check(ext, J_rows, an=None):
     }
 
 
-def to_dot(lat, edge_labels=None, node_note=None):
+def to_dot(lat, edge_labels=None):
     """Hasse diagram in DOT format, cover edges bottom-up, stable ordering."""
     lines = ["digraph interval {", "  rankdir=BT;"]
     for i, node in enumerate(lat.nodes):
         basis = "; ".join("".join(str(c) for c in row) for row in node.basis)
-        note = f" {node_note(i)}" if node_note else ""
-        lines.append(f'  n{i} [label="dim {node.dim}{note}\\n[{basis}]"];')
+        lines.append(f'  n{i} [label="dim {node.dim}\\n[{basis}]"];')
     for i, j in lat.covers:
         label = f' [label="{edge_labels[(i, j)]}"]' if edge_labels else ""
         lines.append(f"  n{i} -> n{j}{label};")

@@ -12,7 +12,6 @@ from ringlat.algebra import (
     AlgebraError,
     Extension,
     Subalgebra,
-    base_algebra,
     conductor,
     generated_subalgebra,
     make_poly_quotient,
@@ -38,6 +37,58 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def base_algebra(field):
+    """The field itself as a one-dimensional algebra."""
+    return make_poly_quotient(field, (0, 1))
+
+
+def elements(A):
+    """All q**dim coordinate vectors of an algebra."""
+    return itertools.product(A.field.elements(), repeat=A.dim)
+
+
+def same_table(A, B):
+    """Whether two algebras have the same field, structure constants and unit."""
+    return (A.field.same_field(B.field) and A.dim == B.dim
+            and A.table == B.table and A.one == B.one)
+
+
+def span_vectors(field, rows):
+    """All elements of the row space (q**rank vectors), the coefficient
+    tuples in itertools.product order."""
+    if not rows:
+        return
+    for coeffs in itertools.product(field.elements(), repeat=len(rows)):
+        yield gfq.lincomb(field, coeffs, rows)
+
+
+def idempotents(dec):
+    """The primitive idempotents of a local decomposition, one per factor."""
+    return tuple(f.idempotent for f in dec.factors)
+
+
+def maximal_ideals(dec):
+    """The maximal ideals of a local decomposition, one per factor."""
+    return tuple(f.maximal_ideal for f in dec.factors)
+
+
+def leq(lat, i, j):
+    """Whether nodes[i] lies in nodes[j], read off the masks of the lattice."""
+    return bool(lat.above[i] >> j & 1)
+
+
+def distributivity_scan(lat):
+    """Reference distributivity: both distributive identities over all node
+    triples, on meet and join tables read off the masks of the lattice."""
+    n = len(lat.nodes)
+    pairs = list(itertools.product(range(n), repeat=2))
+    meet = {(i, j): (lat.below[i] & lat.below[j]).bit_length() - 1 for i, j in pairs}
+    join = {(i, j): lat.join(i, j) for i, j in pairs}
+    return all(meet[b, join[c, d]] == join[meet[b, c], meet[b, d]]
+               and join[b, meet[c, d]] == meet[join[b, c], join[b, d]]
+               for b, c, d in itertools.product(range(n), repeat=3))
 
 
 def trial_division_irreducible(field, f):
@@ -85,7 +136,7 @@ def brute_force_idempotents(ring, budget=4096):
     if A.field.q ** ring.dim > budget:
         raise AlgebraError("idempotent scan budget exceeded")
     out = []
-    for v in gfq.span_vectors(A.field, ring.basis):
+    for v in span_vectors(A.field, ring.basis):
         if A.mul(v, v) == v:
             out.append(v)
     return sorted(out)
@@ -154,7 +205,7 @@ def incomparable_pair_scan(lat):
     """Reference witness: the first incomparable pair of nodes in index
     order, by a scan of all node pairs."""
     for i, j in itertools.combinations(range(len(lat.nodes)), 2):
-        if not lat.leq(i, j) and not lat.leq(j, i):
+        if not leq(lat, i, j) and not leq(lat, j, i):
             return lat.nodes[i], lat.nodes[j]
     return None
 

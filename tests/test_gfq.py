@@ -23,7 +23,13 @@ from ringlat.gfq import (
     rref,
 )
 
-from conftest import deadline, pivot_count_subspaces, scan_roots, trial_division_irreducible
+from conftest import (
+    deadline,
+    pivot_count_subspaces,
+    scan_roots,
+    span_vectors,
+    trial_division_irreducible,
+)
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 6)]
 
@@ -270,8 +276,8 @@ def test_intersection_exhaustive_gf2():
     a = ((1, 0, 1, 0), (0, 1, 0, 0))
     b = ((1, 1, 1, 0), (0, 0, 0, 1))
     met = intersect_rowspaces(F, a, b, 4)
-    expected = {v for v in gfq.span_vectors(F, a)} & {v for v in gfq.span_vectors(F, b)}
-    got = set(gfq.span_vectors(F, met)) if met else set()
+    expected = {v for v in span_vectors(F, a)} & {v for v in span_vectors(F, b)}
+    got = set(span_vectors(F, met)) if met else set()
     got.add((0, 0, 0, 0))
     expected.add((0, 0, 0, 0))
     assert got == expected
@@ -298,7 +304,7 @@ def test_complement_extends_basis():
 def _first_of_each_line(F, rows):
     """The first vector of each line that span_vectors meets, in that order."""
     firsts, seen = [], set()
-    for v in gfq.span_vectors(F, rows):
+    for v in span_vectors(F, rows):
         if any(v) and v not in seen:
             firsts.append(v)
             seen.update(gfq.vscale(F, c, v) for c in range(1, F.q))
@@ -312,12 +318,12 @@ def test_line_vectors_one_per_line(q):
     for k, n in ((1, 3), (2, 3), (2, 4), (3, 4), (3, 4)):
         rows = rref(F, [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)])
         got = list(gfq.line_vectors(F, rows))
-        nonzero = {v for v in gfq.span_vectors(F, rows) if any(v)}
+        nonzero = {v for v in span_vectors(F, rows) if any(v)}
         lines = [frozenset(gfq.vscale(F, c, v) for c in range(1, q)) for v in got]
         assert len(got) == (q ** len(rows) - 1) // (q - 1)
         assert len(set(lines)) == len(lines) and set().union(*lines) == nonzero
         assert all(next(x for x in v if x) == 1 for v in got)
-        meet = iter(gfq.span_vectors(F, rows))
+        meet = iter(span_vectors(F, rows))
         assert all(v in meet for v in got)  # a subsequence of span_vectors
         assert got == _first_of_each_line(F, rows)
 

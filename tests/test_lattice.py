@@ -31,13 +31,12 @@ from ringlat.lattice import (
     is_chained,
     is_delta_extension,
     is_pinched_at,
-    longest_chain,
     maximal_chains,
     quotient_interval_check,
     to_dot,
 )
 
-from conftest import incomparable_pair_scan
+from conftest import base_algebra, distributivity_scan, incomparable_pair_scan, leq
 
 # regression values frozen from the brute-force oracle before the main build
 EX44_CARDINALITY = 6
@@ -67,22 +66,6 @@ def contains_leq(lat, i, j):
     return a.dim <= b.dim and b.contains(a)
 
 
-def reference_distributivity(lat):
-    """Both distributive identities over all node triples, on meet and join
-    tables made by linear algebra; the first failing triple."""
-    n = len(lat.nodes)
-    index = {node.basis: k for k, node in enumerate(lat.nodes)}
-    pairs = list(itertools.product(range(n), repeat=2))
-    meet = {(i, j): index[meet_rows(lat, i, j)] for i, j in pairs}
-    join = {(i, j): index[compositum_rows(lat, i, j)] for i, j in pairs}
-    for b, c, d in itertools.product(range(n), repeat=3):
-        if meet[b, join[c, d]] != join[meet[b, c], meet[b, d]]:
-            return False, (lat.nodes[b], lat.nodes[c], lat.nodes[d])
-        if join[b, meet[c, d]] != meet[join[b, c], join[b, d]]:
-            return False, (lat.nodes[b], lat.nodes[c], lat.nodes[d])
-    return True, None
-
-
 def test_enumerate_interval_frozen_regression(ext44):
     lat = enumerate_interval(ext44)
     assert len(lat.nodes) == EX44_CARDINALITY
@@ -105,8 +88,6 @@ def test_enumerate_field_tower_divisor_lattice(ext64):
 
 
 def test_brute_force_minimal_decomposed(F2):
-    from ringlat.algebra import base_algebra
-
     P = make_product(base_algebra(F2), base_algebra(F2))
     ext = Extension(generated_subalgebra(P, []), P)
     assert len(brute_force_interval(ext)) == 2
@@ -169,20 +150,11 @@ def test_interval_length_examples(ext44, ext64, ext_chain3):
     assert interval_length(enumerate_interval(ext64)) == 2
 
 
-def test_longest_chain_is_witness(ext44):
-    lat = enumerate_interval(ext44)
-    chain = longest_chain(lat)
-    assert chain[0] == lat.bottom and chain[-1] == lat.top
-    assert len(chain) - 1 == EX44_LENGTH
-    for i, j in zip(chain, chain[1:]):
-        assert (i, j) in lat.covers
-
-
 def test_cover_edges_have_nothing_between(ext44):
     lat = enumerate_interval(ext44)
     for i, j in lat.covers:
         between = [k for k in range(len(lat.nodes))
-                   if k not in (i, j) and lat.leq(i, k) and lat.leq(k, j)]
+                   if k not in (i, j) and leq(lat, i, k) and leq(lat, k, j)]
         assert not between
 
 
@@ -289,37 +261,127 @@ def test_is_delta_extension(ext44, ext64, ext_chain3):
 
 
 def _delta_by_compositum(lat):
-    """The definition: the first pair of nodes whose module sum differs from
-    their compositum."""
-    for i, j in itertools.combinations_with_replacement(range(len(lat.nodes)), 2):
-        if module_sum_rows(lat, i, j) != compositum_rows(lat, i, j):
-            return False, (lat.nodes[i], lat.nodes[j])
-    return True, None
+    """The definition: the module sum of every pair of nodes is their compositum."""
+    return all(module_sum_rows(lat, i, j) == compositum_rows(lat, i, j)
+               for i, j in itertools.combinations(range(len(lat.nodes)), 2))
 
 
-def test_is_delta_extension_matches_compositum_definition():
-    """Same answer and same witness as the definition, on the goldens and on
-    seeded instances over GF(2) and GF(3), several of them not delta; on the
-    same instances the order, meets and joins read off the covers are
-    containment, intersection and compositum, and distributivity gives the
-    verdict and witness of the scan over tables made by linear algebra."""
+@pytest.fixture(scope="module")
+def seeded_lattices():
+    """The lattices of the goldens and of gen seed 11, q in {2, 3}, all four
+    shapes, 30 instances each."""
+    exts = [load_instance(str(path)) for path in sorted(GOLDEN.glob("*.json"))]
+    for q in (2, 3):
+        for shape in SHAPES:
+            exts += random_extension(GenSpec(seed=11, q=q, max_dim=5, shape=shape, count=30))
+    return [enumerate_interval(ext) for ext in exts]
+
+
+def test_is_delta_extension_matches_compositum_definition(seeded_lattices):
+    """Same verdict as the definition on the goldens and 240 seeded
+    instances, 20 of them not delta; each witness is two upper covers of
+    one node whose module sum is not their compositum."""
+    not_delta = 0
+    for lat in seeded_lattices:
+        ok, pair = is_delta_extension(lat)
+        assert ok == _delta_by_compositum(lat)
+        if not ok:
+            not_delta += 1
+            u, v = map(lat.index_of, pair)
+            assert any({u, v} <= set(lat.up(t)) for t in range(len(lat.nodes)))
+            assert module_sum_rows(lat, u, v) != compositum_rows(lat, u, v)
+    assert (len(seeded_lattices), not_delta) == (246, 20)
+
+
+def test_distributivity_matches_the_triple_scans(seeded_lattices):
+    """Distributivity by chain lengths agrees with the triple scan over the
+    masks on the goldens and 240 seeded instances, 49 of them not
+    distributive.  On the goldens and gen seed 4 the order, meets and joins
+    that the masks give are containment, intersection and compositum, so
+    the scan over the masks is the scan over tables made by linear algebra."""
+    assert sum(not check_distributivity(lat) for lat in seeded_lattices) == 49
+    assert all(check_distributivity(lat) == distributivity_scan(lat) for lat in seeded_lattices)
     exts = [load_instance(str(path)) for path in sorted(GOLDEN.glob("*.json"))]
     for q in (2, 3):
         exts += random_extension(GenSpec(seed=4, q=q, max_dim=5, count=5))
-    verdicts, distributive = [], []
     for ext in exts:
         lat = enumerate_interval(ext)
-        verdicts.append(is_delta_extension(lat))
-        assert verdicts[-1] == _delta_by_compositum(lat)
         bases = [node.basis for node in lat.nodes]
         for i, j in itertools.product(range(len(lat.nodes)), repeat=2):
-            assert lat.leq(i, j) == contains_leq(lat, i, j)
-            assert bases[lat.meet(i, j)] == meet_rows(lat, i, j)
+            assert leq(lat, i, j) == contains_leq(lat, i, j)
+            assert bases[(lat.below[i] & lat.below[j]).bit_length() - 1] == meet_rows(lat, i, j)
             assert bases[lat.join(i, j)] == compositum_rows(lat, i, j)
-        distributive.append(check_distributivity(lat))
-        assert distributive[-1] == reference_distributivity(lat)
-    assert sum(not ok for ok, _ in verdicts) >= 4
-    assert sum(not ok for ok, _ in distributive) >= 4
+
+
+def _natural_lattices(n):
+    """The covers of every lattice on 0, ..., n - 1 (n >= 2) whose order
+    refines the order of the integers, bottom 0 and top n - 1.
+
+    Each new element k is given its lower covers, an antichain of the
+    elements before it.  Later elements lie above none before them, so the
+    join of two elements is their first common upper bound; a prefix is
+    kept only while that upper bound lies below every later one.
+    """
+    def grow(down, joins, covers):
+        k = len(down)
+        if k == n:
+            if down[-1] == (1 << n) - 1:
+                yield tuple(covers)
+            return
+        for size in range(1, k + 1):
+            for lower in itertools.combinations(range(k), size):
+                if any(down[b] >> a & 1 for a, b in itertools.permutations(lower, 2)):
+                    continue
+                mask = 1 << k
+                for a in lower:
+                    mask |= down[a]
+                new = dict(joins)
+                pairs = itertools.combinations([a for a in range(k + 1) if mask >> a & 1], 2)
+                if all(mask >> new.setdefault(pair, k) & 1 for pair in pairs):
+                    yield from grow(down + [mask], new, covers + [(a, k) for a in lower])
+
+    yield from grow([1], {}, [])
+
+
+def test_distributivity_on_every_small_lattice():
+    """On each of the 4,007 lattices with 2 to 8 elements and a natural
+    labelling, distributivity by chain lengths agrees with the triple scan."""
+    count = distributive = 0
+    for n in range(2, 9):
+        for covers in _natural_lattices(n):
+            lat = ExtensionLattice(ext=None, nodes=tuple(range(n)), bottom=0, top=n - 1,
+                                   covers=tuple(sorted(covers)))
+            ok = check_distributivity(lat)
+            assert ok == distributivity_scan(lat), covers
+            count += 1
+            distributive += ok
+    assert (count, distributive) == (4007, 90)
+
+
+def test_local_criteria_join_work(monkeypatch):
+    """On the golden lattices, all of them delta, the delta test joins each
+    pair of upper covers of each node once, against n (n - 1) / 2 pairs for
+    a scan of all nodes (91 on product.json), and distributivity joins none."""
+    calls = []
+    original = ExtensionLattice.join
+
+    def counting(self, i, j):
+        calls.append((i, j))
+        return original(self, i, j)
+
+    monkeypatch.setattr(ExtensionLattice, "join", counting)
+    joins = {}
+    for path in sorted(GOLDEN.glob("*.json")):
+        lat = enumerate_interval(load_instance(str(path)))
+        calls.clear()
+        check_distributivity(lat)
+        assert calls == []
+        assert is_delta_extension(lat)[0]
+        assert len(calls) == sum(len(lat.up(t)) * (len(lat.up(t)) - 1) // 2
+                                 for t in range(len(lat.nodes)))
+        joins[path.stem] = len(calls)
+    assert joins == {"f4-y3": 0, "f9-mixed": 4, "product": 17, "y4": 3, "y5": 6,
+                     "y7-over-y2": 0}
 
 
 def test_order_queries_make_no_linear_algebra(monkeypatch):
@@ -347,18 +409,16 @@ def test_order_queries_make_no_linear_algebra(monkeypatch):
         check_distributivity(lat)
         first_incomparable_pair(lat)
         for i, j in itertools.product(range(n), repeat=2):
-            lat.leq(i, j)
+            leq(lat, i, j)
         for node in lat.nodes:
             is_pinched_at(lat, node)
     assert calls == []
 
 
 def test_check_distributivity(ext44, ext64, ext_chain3):
-    assert check_distributivity(enumerate_interval(ext_chain3))[0]
-    ok64, _ = check_distributivity(enumerate_interval(ext64))
-    assert ok64  # modular non-chain: both identities still hold
-    ok44, triple = check_distributivity(enumerate_interval(ext44))
-    assert not ok44 and triple is not None
+    assert check_distributivity(enumerate_interval(ext_chain3))
+    assert check_distributivity(enumerate_interval(ext64))  # a non-chain square
+    assert not check_distributivity(enumerate_interval(ext44))
 
 
 def test_remark_finite_field_analogue_shape(ext64):
@@ -403,20 +463,6 @@ def test_quotient_interval_bijection(ext44, deep_local_ext):
     ext = Extension(generated_subalgebra(S, []), deep_local_ext.bottom)
     ok, detail = quotient_interval_check(ext, [(0, 0, 0, 0, 1)])
     assert ok and detail == {"upstairs": 2, "downstairs": 2}
-
-
-def test_quotient_interval_check_compares_covers_not_containment(ext44, monkeypatch):
-    calls = []
-    original = ExtensionLattice.leq
-
-    def counting_leq(self, i, j):
-        calls.append((i, j))
-        return original(self, i, j)
-
-    monkeypatch.setattr(ExtensionLattice, "leq", counting_leq)
-    ok, detail = quotient_interval_check(ext44, [(0, 0, 0, 1)])
-    assert ok and detail == {"upstairs": 3, "downstairs": 3}
-    assert calls == []
 
 
 def test_dot_output_stable(ext44):
