@@ -415,9 +415,7 @@ class LocalFactor:
 class LocalDecomposition:
     """Complete orthogonal idempotents and the local factors they cut out."""
 
-    ring: Subalgebra              # the decomposed ring
     factors: tuple
-    nilradical: Ideal             # the intersection of the maximal ideals
 
     @property
     def is_local(self):
@@ -511,22 +509,20 @@ def local_decomposition(ring, an=None):
     fixed, _ = an.frobenius(ring)
     factors = []
     for e in _primitive_idempotents(A, fixed):
-        dim = len(rref(F, [A.mul(e, r) for r in ring.basis]))
-        # the nilradical of the factor e*ring is e times that of the ring
-        fnil_dim = len(rref(F, [A.mul(e, v) for v in nil.basis]))
         one_minus_e = vsub(F, A.one, e)
+        # M = (1-e)*ring + Nil, and the residue field is ring/M
         m_rows = rref(F, [A.mul(one_minus_e, r) for r in ring.basis]
                       + list(nil.basis))
         factors.append(LocalFactor(
             idempotent=e,
-            dim=dim,
+            dim=len(rref(F, [A.mul(e, r) for r in ring.basis])),
             maximal_ideal=Ideal(ring, m_rows),
-            residue_degree=dim - fnil_dim,
+            residue_degree=ring.dim - len(m_rows),
         ))
     if sum(f.dim for f in factors) != ring.dim:
         raise InternalInvariantError("local-factor-dims",
                                      "factor dimensions do not add up")
-    return LocalDecomposition(ring=ring, factors=tuple(factors), nilradical=nil)
+    return LocalDecomposition(factors=tuple(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ nilradical from one pass of x -> x**q over its basis, which its local
 decomposition and its counts (local factors, dim - dim Nil) both read; the
 local decomposition of each ring; the canonical decomposition of each
 interval; the Nagata filtration of each subintegral pair local mod its
-conductor; and the minimal-step kind of each cover edge T < U by each of two
-routes: ``cover_kind`` from the counts of T and U, which ``analyze`` reads,
-and ``edge_kind`` from the conductor (T:U), which ``check`` and ``lattice``
-read and ``check`` compares with the first.  The crucial ideal of a cover
-needs no memo: ``check`` computes each one once, for all covers together.
+conductor; and the minimal-step kind of each cover edge T < U by its
+conductor (T:U), ``edge_kind``, which ``check`` and ``lattice`` read.  The
+other route to that kind, ``canonical.cover_kind``, which ``analyze`` reads
+and ``check`` compares with the first, needs no memo: it compares the
+memoized counts of T and U.  Nor does the crucial ideal of a cover:
+``check`` computes each one once, for all covers together.
 A localization is a subinterval of its pair, cheap to rebuild, whose
 lattice the interval memo shares.  The cache lives as long as the object:
 the CLI makes one per command, and a library function called without one
@@ -72,7 +73,7 @@ class Analysis:
         return self._fact(("lattice", ext), lambda: enumerate_interval(ext, self))
 
     def decomposition(self, ring):
-        """The local decomposition of a ring, with its nilradical."""
+        """The local decomposition of a ring: its local factors."""
         from .algebra import local_decomposition
         return self._fact(("decomposition", ring), lambda: local_decomposition(ring, self))
 
@@ -96,11 +97,6 @@ class Analysis:
         """(local factors, dim - dim Nil) of a ring, read off its Frobenius kernels."""
         fixed, nil = self.frobenius(ring)
         return len(fixed), ring.dim - len(nil)
-
-    def cover_kind(self, T, U):
-        """The kind of a cover T < U, read off the Frobenius counts of T and U."""
-        from .canonical import cover_kind
-        return self._fact(("cover kind", T, U), lambda: cover_kind(T, U, an=self))
 
     def edge_kind(self, T, U):
         """The MinimalKind of a cover T < U by its conductor: the independent

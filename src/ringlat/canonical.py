@@ -45,12 +45,10 @@ RAMIFIED = "ramified"
 
 @dataclass(frozen=True)
 class MinimalKind:
-    """Classification of one minimal step T < U with its evidence."""
+    """Classification of one minimal step T < U with its conductor."""
 
     kind: str
     conductor: Ideal             # M = (T:U), maximal in T
-    primes_above: tuple          # maximal ideals of U involved in the match
-    residual_degrees: tuple      # [U/Q : T/M] for each listed prime
 
 
 def classify_minimal(T, U, an=None):
@@ -78,13 +76,13 @@ def classify_minimal(T, U, an=None):
         if Q.basis == M.basis:
             deg, rem = divmod(U.dim - Q.dim, res_t)
             if not rem and gfq.factor_multiplicity(deg) == 1:
-                matches.append(MinimalKind(INERT, M, (Q,), (deg,)))
+                matches.append(MinimalKind(INERT, M))
     # decomposed: two maximal ideals meeting in M, both residually trivial
     for fa, fb in itertools.combinations(max_u, 2):
         Qa, Qb = fa.maximal_ideal, fb.maximal_ideal
         met = intersect_rowspaces(F, Qa.basis, Qb.basis, A.dim)
         if met == M.basis and res_u[Qa] == res_t and res_u[Qb] == res_t:
-            matches.append(MinimalKind(DECOMPOSED, M, (Qa, Qb), (1, 1)))
+            matches.append(MinimalKind(DECOMPOSED, M))
     # ramified: a square-zero prime strictly above M, doubled residue on U/M
     for f in max_u:
         Q = f.maximal_ideal
@@ -94,7 +92,7 @@ def classify_minimal(T, U, an=None):
                 and res_u[Q] == res_t
                 and gfq.contains_rows(F, Q.basis, M.basis)
                 and gfq.contains_rows(F, M.basis, square)):
-            matches.append(MinimalKind(RAMIFIED, M, (Q,), (1,)))
+            matches.append(MinimalKind(RAMIFIED, M))
     if len(matches) != 1:
         raise InternalInvariantError(
             "trichotomy",
@@ -126,7 +124,7 @@ def check_cover_kinds(lat, edge_kinds, an=None):
     its conductor gave it in edge_kinds."""
     an = an or Analysis()
     for (i, j), kind in edge_kinds.items():
-        counted = an.cover_kind(lat.nodes[i], lat.nodes[j])
+        counted = cover_kind(lat.nodes[i], lat.nodes[j], an)
         if counted != kind.kind:
             raise InternalInvariantError(
                 "cover-counts",
@@ -261,7 +259,7 @@ def canonical_decomposition(ext, an=None):
                              (tcl, (RAMIFIED, DECOMPOSED), "t-closure-vs-lattice")):
         reached = {lat.bottom}
         for i, j in lat.covers:  # sorted by i, and i < j: node i is settled
-            if i in reached and an.cover_kind(lat.nodes[i], lat.nodes[j]) in kinds:
+            if i in reached and cover_kind(lat.nodes[i], lat.nodes[j], an) in kinds:
                 reached.add(j)
         if reached != {k for k, n in enumerate(lat.nodes) if ring.contains(n)}:
             raise InternalInvariantError(
@@ -274,41 +272,21 @@ def lambda_invariant(ext, an=None):
     return max((r.length for r in residual_extensions(ext, an)), default=0)
 
 
-@dataclass(frozen=True)
-class LambdaCrossCheck:
-    value: int
-    after_t_closure: int
-    localized_sup: int = None
-    msupp_count: int = None
-    length_bound_ok: bool = None
-
-    @property
-    def consistent(self):
-        if self.value != self.after_t_closure:
-            return False
-        if self.localized_sup is not None and self.value != self.localized_sup:
-            return False
-        return self.length_bound_ok is not False
-
-
 def lambda_crosscheck(ext, an=None):
-    """Independent recomputations of the residual-length supremum."""
+    """(lambda, consistent): the residual-length supremum and whether
+    independent recomputations agree with it.  It is unchanged above the
+    t-closure; and on a t-closed pair it is the supremum of the lengths of
+    the localizations, which bounds the length by |MSupp| * lambda."""
     an = an or Analysis()
     value = lambda_invariant(ext, an)
     tcl = an.canonical(ext).t_closure
-    after = lambda_invariant(Extension(tcl, ext.top), an)
-    localized_sup = None
-    msupp = None
-    bound_ok = None
+    ok = value == lambda_invariant(Extension(tcl, ext.top), an)
     if tcl == ext.bottom and not ext.is_trivial:  # t-closed integral pair
         supp = support(ext, an)
-        msupp = len(supp)
-        localized = []
-        for M in supp:
-            localized.append(interval_length(an.lattice(localize_extension(ext, M, an))))
-        localized_sup = max(localized, default=0)
-        bound_ok = interval_length(an.lattice(ext)) <= msupp * value
-    return LambdaCrossCheck(value, after, localized_sup, msupp, bound_ok)
+        localized = [interval_length(an.lattice(localize_extension(ext, M, an))) for M in supp]
+        ok = (ok and value == max(localized, default=0)
+              and interval_length(an.lattice(ext)) <= len(supp) * value)
+    return value, ok
 
 
 def classify_cover_edges(lat, an=None):
@@ -334,22 +312,9 @@ def census(kinds):
     return out
 
 
-@dataclass(frozen=True)
-class ChainCheckReport:
-    all_inert: bool
-    all_ramified_or_decomposed: bool
-    infra_integral: bool
-    t_closed: bool
-    violations: tuple
-
-    @property
-    def consistent(self):
-        return not self.violations
-
-
 def verify_chain_classification(lat, chain, an=None):
     """Check the kinds of the covers along a chain of node indices against the
-    whole-pair predicates."""
+    whole-pair predicates; returns the tuple of violations, empty if none."""
     an = an or Analysis()
     ext = Extension(lat.nodes[chain[0]], lat.nodes[chain[-1]])
     kinds = [an.edge_kind(lat.nodes[i], lat.nodes[j]).kind for i, j in zip(chain, chain[1:])]
@@ -368,13 +333,7 @@ def verify_chain_classification(lat, chain, an=None):
             violations.append("local t-closed pair: conductor is not the maximal ideal")
         if not an.decomposition(ext.top).is_local:
             violations.append("local t-closed pair: top ring is not local")
-    return ChainCheckReport(
-        all_inert=all_inert,
-        all_ramified_or_decomposed=all_rd,
-        infra_integral=infra,
-        t_closed=tcl,
-        violations=tuple(violations),
-    )
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -383,8 +342,7 @@ class AdditivityReport:
     below_t_closure: int
     above_t_closure: int
     t_split_ok: bool
-    seminormal_split_applicable: bool
-    seminormal_split_ok: bool  # None unless applicable
+    seminormal_split_ok: bool  # None unless no ramified cover lies above +R
 
 
 def length_additivity_check(ext, an=None):
@@ -405,9 +363,8 @@ def length_additivity_check(ext, an=None):
     plus = dec.seminormalization
     upper = an.lattice(Extension(plus, ext.top))
     upper_kinds = classify_cover_edges(upper, an)
-    applicable = all(k.kind != RAMIFIED for k in upper_kinds.values())
     split_ok = None
-    if applicable:
+    if all(k.kind != RAMIFIED for k in upper_kinds.values()):
         split_ok = total == (interval_length(an.lattice(Extension(ext.bottom, plus)))
                              + interval_length(upper))
     return AdditivityReport(
@@ -415,6 +372,5 @@ def length_additivity_check(ext, an=None):
         below_t_closure=below,
         above_t_closure=above,
         t_split_ok=total == below + above,
-        seminormal_split_applicable=applicable,
         seminormal_split_ok=split_ok,
     )

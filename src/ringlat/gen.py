@@ -34,7 +34,6 @@ class RejectionExhausted(RuntimeError):
         ratio = accepted / attempts if attempts else 0.0
         super().__init__(f"shape {shape!r}: {accepted}/{attempts} accepted "
                          f"(ratio {ratio:.3f}); rejection budget exhausted")
-        self.acceptance_ratio = ratio
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ MAX_TABLE_Q = 4096  # the largest field GF accepts, and so the parser's field-si
 # GF(23^2) in 1.1 s, GF(2^9) in 3.8 s and GF(2^10) in 19 s at 81 MB, on a
 # shared 2-core x86_64 machine (Python 3.11).
 MAX_EXTENSION_Q = 256
-MAX_DEFAULT_MODULUS_Q = 64
 
 
 def prime_power(q):
@@ -96,13 +95,7 @@ class GF:
             raise ValueError(f"extension field size {q} exceeds table bound {MAX_EXTENSION_Q}")
         self.p, self.e, self.q = p, e, q
         if modulus is None:
-            if e == 1:
-                modulus = (0, 1)
-            elif q <= MAX_DEFAULT_MODULUS_Q:
-                modulus = irreducible_poly(self.prime_field(), e)
-            else:
-                raise ValueError(f"modulus must be supplied for q = {q} > "
-                                 f"{MAX_DEFAULT_MODULUS_Q}")
+            modulus = (0, 1) if e == 1 else irreducible_poly(self.prime_field(), e)
         self.modulus = self._check_modulus(tuple(modulus))
         if e > 1:
             self._build_tables()

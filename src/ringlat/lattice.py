@@ -188,10 +188,9 @@ def is_arithmetic(ext, an=None):
     an = an or Analysis()
     failures = []
     for M in support(ext, an):
-        loc_lat = an.lattice(localize_extension(ext, M, an))
-        if not is_chained(loc_lat):
-            failures.append(ArithmeticWitness(maximal_ideal=M,
-                                              pair=first_incomparable_pair(loc_lat)))
+        pair = first_incomparable_pair(an.lattice(localize_extension(ext, M, an)))
+        if pair is not None:
+            failures.append(ArithmeticWitness(maximal_ideal=M, pair=pair))
     return not failures, tuple(failures)
 
 

@@ -400,10 +400,11 @@ def radical_filtration_length(R, e_rows, f_rows, an):
     A = R.ambient
     F = A.field
     dec = an.decomposition(R)
+    nil = nilradical(R, an).basis
     f_rows = rref(F, f_rows)
     total, cur = 0, rref(F, e_rows)
     while len(cur) > len(f_rows):
-        nxt = rref(F, [A.mul(j, x) for j in dec.nilradical.basis for x in cur] + list(f_rows))
+        nxt = rref(F, [A.mul(j, x) for j in nil for x in cur] + list(f_rows))
         assert len(nxt) < len(cur)
         for f in dec.factors:
             layer = len(rref(F, [A.mul(f.idempotent, x) for x in cur] + list(nxt))) - len(nxt)
@@ -427,8 +428,8 @@ def test_module_length_matches_radical_filtration():
                 S, F = ext.top, ext.ambient.field
                 for R in an.lattice(ext).nodes:
                     dec = an.decomposition(R)
-                    modules = {S.basis, R.basis, conductor(R, S).basis, dec.nilradical.basis,
-                               an.decomposition(S).nilradical.basis, ()}
+                    modules = {S.basis, R.basis, conductor(R, S).basis, nilradical(R, an).basis,
+                               nilradical(S, an).basis, ()}
                     modules |= {m.basis for m in maximal_ideals(dec)}
                     for E, sub in itertools.permutations(modules, 2):
                         if all(gfq.in_span(F, E, v) for v in sub):

@@ -112,7 +112,7 @@ def test_analyze_product_algebra_products(monkeypatch):
 
     monkeypatch.setattr(algebra.Algebra, "mul", counting_mul)
     run(["analyze", str(GOLDEN / "product.json")])
-    assert len(calls) == 557
+    assert len(calls) == 554
 
 
 @pytest.mark.parametrize("name", ["y5", "y7-over-y2", "y4"])

@@ -70,7 +70,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GenSpec(seed=0, max_dim=40)
     with pytest.raises(ValueError):
-        GenSpec(seed=0, q=128)  # GF(2^7) has no default modulus
+        GenSpec(seed=0, q=512)  # GF(2^9) is over the extension-table bound
     with pytest.raises(ValueError):
         GenSpec(seed=0, count=-1)
 

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it."""
+"""Every name a module imports is used in it, and every dataclass field
+that `src/ringlat` declares is read in it."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,33 @@ def test_every_import_is_used():
     unused = {p.relative_to(ROOT).as_posix(): names
               for p in MODULES if (names := unused_imports(p.read_text()))}
     assert unused == {}
+
+
+def unread_fields(sources):
+    """The fields, as 'Class.field', that a @dataclass of sources declares and
+    no attribute access in sources reads."""
+    trees = [ast.parse(source) for source in sources]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    declared = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in cls.decorator_list):
+                declared += [(cls.name, s.target.id) for s in cls.body
+                             if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return sorted(f"{cls}.{name}" for cls, name in declared if name not in read)
+
+
+def test_unread_fields_are_found():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = 0\n"
+              "@dataclass\nclass Q:\n    z: int\n"
+              "def f(p, q):\n    q.z = 1\n    return p.x\n")
+    assert unread_fields([source]) == ["P.y", "Q.z"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "ringlat").glob("*.py"))]
+    assert unread_fields(sources) == []
