@@ -45,6 +45,7 @@ from .gfq import GF  # noqa: F401
 from .lattice import (  # noqa: F401
     ExtensionLattice,
     brute_force_interval,
+    chain_census,
     check_distributivity,
     enumerate_interval,
     interval_length,

@@ -3,23 +3,25 @@
 Every exponential search of a command charges one counter before it works,
 so one budget bounds them all.  A unit is one candidate examined: a
 GF(q)-line vector of the complement of a node that enumeration expands (one
-closure; nodes <= closures + 1), a subspace the brute-force oracle scans, or
-a chain that ``check`` lists.  The closed forms of the canonical chain are
-linear algebra and charge nothing.  A charge the budget cannot cover raises
-:class:`BudgetExceeded` and charges nothing.
+closure; nodes <= closures + 1), or a subspace the brute-force oracle scans.
+The closed forms of the canonical chain are linear algebra and charge
+nothing, and so is ``check``'s census of the maximal chains: one pass over
+covers that enumeration has already paid for.  A charge the budget cannot
+cover raises :class:`BudgetExceeded` and charges nothing.
 
 An :class:`Analysis` also memoizes by value (a ring is its ambient algebra
 and its canonical basis, so equal rings share one entry) the lattice of each
 interval; the two Frobenius kernels of each ring, its fixed subring and its
 nilradical from one pass of x -> x**q over its basis, which its local
 decomposition and its counts (local factors, dim - dim Nil) both read; the
-local decomposition of each ring; the canonical decomposition of each
-interval; the Nagata filtration of each subintegral pair local mod its
-conductor; and the minimal-step kind of each cover edge T < U by its
-conductor (T:U), ``edge_kind``, which ``check`` and ``lattice`` read.  The
-other route to that kind, ``canonical.cover_kind``, which ``analyze`` reads
-and ``check`` compares with the first, needs no memo: it compares the
-memoized counts of T and U.  Nor does the crucial ideal of a cover:
+local decomposition of each ring; the residue-field extensions of each pair,
+which its t-closure, its infra-integrality and its lambda all read; the
+canonical decomposition of each interval; the Nagata filtration of each
+subintegral pair local mod its conductor; and the minimal-step kind of each
+cover edge T < U by its conductor (T:U), ``edge_kind``, which ``check`` and
+``lattice`` read.  The other route to that kind, ``canonical.cover_kind``,
+which ``analyze`` reads and ``check`` compares with the first, needs no
+memo: it compares the memoized counts of T and U.  Nor does the crucial ideal of a cover:
 ``check`` computes each one once, for all covers together.
 A localization is a subinterval of its pair, cheap to rebuild, whose
 lattice the interval memo shares.  The cache lives as long as the object:
@@ -52,13 +54,9 @@ class Analysis:
         self.threads = threads
         self._facts = {}
 
-    @property
-    def left(self):
-        return self.budget - self.spent
-
     def charge(self, phase, units):
         """Spend units of work on phase, or raise if fewer are left."""
-        if units > self.left:
+        if units > self.budget - self.spent:
             raise BudgetExceeded(phase, self.spent, self.budget, units)
         self.spent += units
 
@@ -76,6 +74,11 @@ class Analysis:
         """The local decomposition of a ring: its local factors."""
         from .algebra import local_decomposition
         return self._fact(("decomposition", ring), lambda: local_decomposition(ring, self))
+
+    def residuals(self, ext):
+        """The residue-field extensions of ext, one per maximal ideal of its top."""
+        from .canonical import residual_extensions
+        return self._fact(("residuals", ext), lambda: residual_extensions(ext, self))
 
     def canonical(self, ext):
         """The canonical decomposition R <= +R <= tR <= S of ext."""

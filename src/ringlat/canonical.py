@@ -185,7 +185,7 @@ def residual_extensions(ext, an=None):
 
 def is_infra_integral(ext, an=None):
     """All residue-field extensions are isomorphisms."""
-    return all(r.degree == 1 for r in residual_extensions(ext, an))
+    return all(r.degree == 1 for r in (an or Analysis()).residuals(ext))
 
 
 def is_subintegral(ext, an=None):
@@ -223,7 +223,7 @@ def t_closure(ext, an=None):
     an = an or Analysis()
     R, S, A = ext.bottom, ext.top, ext.ambient
     F = A.field
-    residuals = residual_extensions(ext, an)
+    residuals = an.residuals(ext)
     exponents = [F.q ** (R.dim - r.prime_bottom.dim) for r in residuals]
 
     def residues(s):
@@ -269,7 +269,7 @@ def canonical_decomposition(ext, an=None):
 
 def lambda_invariant(ext, an=None):
     """Supremum of the lengths of the residue-field extensions."""
-    return max((r.length for r in residual_extensions(ext, an)), default=0)
+    return max((r.length for r in (an or Analysis()).residuals(ext)), default=0)
 
 
 def lambda_crosscheck(ext, an=None):

@@ -3,13 +3,13 @@
 Instances are JSON documents (see schema/instance.json) of dimension at most
 MAX_DIM, read off the document before any table is built.  Each command has
 one work budget (``--budget``, in the units of ``ringlat.analysis``) that its
-enumerations, oracle and chain listing all charge; the canonical chain comes
-from closed forms and charges nothing.  Exit codes: 0 success, 1
-parse/validation error or a usage error (argparse's usage text on stderr),
-2 work budget exceeded (one stderr line naming the phase), 3 a structural
-cross-check failed (a bug signal, printed with its machine tag), 141 the
-reader closed stdout early (128 + SIGPIPE, as a shell reports a broken
-pipe).
+enumerations and oracle both charge; the canonical chain comes from closed
+forms and the census of maximal chains from the covers, and neither charges.
+Exit codes: 0 success, 1 parse/validation error or a usage error (argparse's
+usage text on stderr), 2 work budget exceeded (one stderr line naming the
+phase), 3 a structural cross-check failed (a bug signal, printed with its
+machine tag), 141 the reader closed stdout early (128 + SIGPIPE, as a shell
+reports a broken pipe).
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .gen import SHAPES, GenSpec, RejectionExhausted, random_extension
 from .gfq import GF
 from .lattice import (
     brute_force_interval,
+    chain_census,
     check_distributivity,
     interval_length,
     is_arithmetic,
@@ -85,8 +86,13 @@ def _expect(cond, path, message):
         raise ParseError(path, message)
 
 
+def _is_int(value):
+    """A JSON integer: json gives true and false as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(value, path):
-    _expect(isinstance(value, list) and all(isinstance(x, int) for x in value),
+    _expect(isinstance(value, list) and all(map(_is_int, value)),
             path, "expected a list of integers")
     return value
 
@@ -95,7 +101,7 @@ def parse_field(doc, path="$.field"):
     _expect(isinstance(doc, dict), path, "expected an object")
     _expect("p" in doc and "e" in doc, path, "field needs 'p' and 'e'")
     p, e = doc["p"], doc["e"]
-    _expect(isinstance(p, int) and isinstance(e, int), path, "'p' and 'e' must be integers")
+    _expect(_is_int(p) and _is_int(e), path, "'p' and 'e' must be integers")
     modulus = doc.get("modulus")
     if modulus is not None:
         modulus = tuple(_int_list(modulus, path + ".modulus"))
@@ -120,7 +126,7 @@ def _algebra_dim(doc, path):
                 "table needs 'dim', 'mul' and 'one'")
         path += ".table.dim"
         dim = t["dim"]
-        _expect(isinstance(dim, int) and dim >= 1, path, "'dim' must be a positive integer")
+        _expect(_is_int(dim) and dim >= 1, path, "'dim' must be a positive integer")
     elif "product" in doc:
         parts = doc["product"]
         path += ".product"
@@ -379,8 +385,6 @@ def _check_suite(ext, args):
     infra = is_infra_integral(ext, an)
     t_closed = is_t_closed(ext, an)
     kinds = [k.kind for k in edge_kinds.values()]
-    chains, truncated = maximal_chains(lat, an.left)  # one more than is left raises
-    an.charge("maximal chains", len(chains) + truncated)
 
     yield "trichotomy-census", True, str(census(kinds))
     all_rd = all(k in ("ramified", "decomposed") for k in kinds)
@@ -392,11 +396,8 @@ def _check_suite(ext, args):
         f"infra={infra} all_rd={all_rd} t_closed={t_closed} all_inert={all_inert}"
 
     supp_set = frozenset(m.basis for m in support(ext, an))
-    trace = crucial_traces(lat, an)
-    traces = {frozenset(trace[e] for e in zip(c, c[1:])) for c in chains}
-    ok = len(traces) <= 1 and \
-        (not chains or traces == {supp_set} or (len(lat.nodes) == 1 and not supp_set))
-    yield "crucial-trace-invariance", ok, f"{len(chains)} chains"
+    count, traces = chain_census(lat, crucial_traces(lat, an))
+    yield "crucial-trace-invariance", traces == {supp_set}, f"{count} chains"
 
     add = length_additivity_check(ext, an)
     ok = add.t_split_ok and add.seminormal_split_ok is not False
@@ -406,9 +407,8 @@ def _check_suite(ext, args):
     lam, ok = lambda_crosscheck(ext, an)
     yield "lambda-consistency", ok, f"lambda={lam}"
 
-    violations = verify_chain_classification(lat, chains[0], an) if chains else ()
-    yield "chain-classification", not violations, \
-        "; ".join(violations) if chains else "no chains"
+    violations = verify_chain_classification(lat, maximal_chains(lat, 1)[0][0], an)
+    yield "chain-classification", not violations, "; ".join(violations)
 
     if is_subintegral(ext, an):
         a, b = fip_subintegral_crosscheck(ext, an)
@@ -526,8 +526,8 @@ def make_parser():
         p.add_argument("--threads", type=_at_least(1), default=1,
                        help="enumeration worker threads (output-identical)")
         p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
-                       help="work units the command may spend: closures, oracle "
-                            "subspaces and maximal chains")
+                       help="work units the command may spend: closures and oracle "
+                            "subspaces")
 
     def gen_options(p):  # GenSpec supplies the defaults: seed 0, q 2, max-dim 5, count 1
         p.add_argument("--seed", type=int)

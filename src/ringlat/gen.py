@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .analysis import Analysis
 from .canonical import is_subintegral
-from .gfq import GF, irreducible_poly, prime_power
+from .gfq import GF, check_field_size, irreducible_poly, prime_power
 
 SHAPES = ("local-subintegral", "product-of-locals", "field-tower", "mixed")
 REJECTION_BUDGET = 10_000
@@ -45,7 +45,7 @@ class GenSpec:
     count: int = 1
 
     def __post_init__(self):
-        GF(*prime_power(self.q))  # raises unless q names a field GF can build
+        check_field_size(self.q, prime_power(self.q)[1])  # builds no field
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}; pick one of {SHAPES}")
         if not 1 <= self.max_dim <= 8:

@@ -61,6 +61,15 @@ def prime_power(q):
     return p, e
 
 
+def check_field_size(q, e):
+    """Raise ValueError unless GF builds a field of q = p**e elements, which
+    takes no table: q is at most MAX_TABLE_Q, and MAX_EXTENSION_Q if e > 1."""
+    if q > MAX_TABLE_Q:
+        raise ValueError(f"field size {q} exceeds supported bound {MAX_TABLE_Q}")
+    if e > 1 and q > MAX_EXTENSION_Q:
+        raise ValueError(f"extension field size {q} exceeds table bound {MAX_EXTENSION_Q}")
+
+
 def factor_multiplicity(n):
     """Number of prime factors of n counted with multiplicity (Omega)."""
     if n < 1:
@@ -89,10 +98,7 @@ class GF:
         if p < 2 or factor_multiplicity(p) != 1:
             raise ValueError(f"characteristic must be prime, got {p}")
         q = p ** e
-        if q > MAX_TABLE_Q:
-            raise ValueError(f"field size {q} exceeds supported bound {MAX_TABLE_Q}")
-        if e > 1 and q > MAX_EXTENSION_Q:
-            raise ValueError(f"extension field size {q} exceeds table bound {MAX_EXTENSION_Q}")
+        check_field_size(q, e)
         self.p, self.e, self.q = p, e, q
         if modulus is None:
             modulus = (0, 1) if e == 1 else irreducible_poly(self.prime_field(), e)

@@ -15,7 +15,8 @@ order and joins are read off bitmasks built from the covers, and the delta
 test and distributivity are local criteria on the covers, with no linear
 algebra.  A maximal chain is a plain tuple of node indices, a path of covers
 from bottom to top; whatever belongs to its steps belongs to the covers and
-is keyed by them.
+is keyed by them, so the chains are counted, and their trace sets gathered,
+in one pass over the covers without listing a chain.
 """
 
 from __future__ import annotations
@@ -232,6 +233,20 @@ def check_distributivity(lat):
     joins = sum(k == 1 for k in Counter(j for _, j in lat.covers).values())
     meets = sum(k == 1 for k in Counter(i for i, _ in lat.covers).values())
     return shortest == longest == joins == meets
+
+
+def chain_census(lat, trace):
+    """The number of maximal chains and the set of their trace sets, where
+    trace maps each cover edge to its trace and a chain's trace set is the
+    set of its edges' traces: one pass over the sorted covers, each carrying
+    the path count and the trace sets of its lower node up to the higher."""
+    count = [0] * len(lat.nodes)
+    sets = [set() for _ in lat.nodes]
+    count[lat.bottom], sets[lat.bottom] = 1, {frozenset()}
+    for i, j in lat.covers:  # sorted by i, and i < j: node i is settled
+        count[j] += count[i]
+        sets[j] |= {s | {trace[i, j]} for s in sets[i]}
+    return count[lat.top], sets[lat.top]
 
 
 def maximal_chains(lat, limit=DEFAULT_BUDGET):

@@ -183,12 +183,14 @@ def test_check_classifies_each_edge_once(monkeypatch, name):
 
 def test_check_meets_each_crucial_ideal_with_r_once(monkeypatch):
     """check on the product golden meets R with the crucial ideal of each
-    cover once, not once per step of every maximal chain through it."""
+    of its 25 covers once, not once per step of every maximal chain through
+    it; the other meets contract the 3 maximal ideals of the top, once for
+    each of the 2 pairs whose residue fields check reads."""
     calls = []
     spy(monkeypatch, algebra, "intersect_with",
         lambda args, kwargs, result: calls.append(result))
     run(["check", str(GOLDEN / "product.json")])
-    assert len(calls) == 40
+    assert len(calls) == 25 + 2 * 3
 
 
 @pytest.mark.parametrize("name", ["y5", "product", "f9-mixed"])
@@ -199,6 +201,18 @@ def test_check_tests_t_closedness_once(monkeypatch, name):
         lambda args, kwargs, result: calls.append(result))
     run(["check", str(GOLDEN / f"{name}.json")])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["y4", "product", "f9-mixed", "f4-y3"])
+def test_check_finds_residue_fields_once_per_pair(monkeypatch, name):
+    """The t-closure, both infra-integrality tests and both lambdas of check
+    read one memoized list of residue-field extensions per pair."""
+    calls = Counter()
+    spy(monkeypatch, canonical, "residual_extensions",
+        lambda args, kwargs, result: calls.update(
+            [(ring_content(args[0].bottom), ring_content(args[0].top))]))
+    run(["check", str(GOLDEN / f"{name}.json")])
+    assert calls and max(calls.values()) == 1
 
 
 def test_analyze_finds_residue_fields_a_few_times(write, monkeypatch):
@@ -222,8 +236,8 @@ def test_budget_nodes_reaches_nested_enumerations(write, monkeypatch, verb):
     assert analyses[0].budget == 5000 and analyses[0].spent > 0
 
 
-BUDGET_ERROR = (r"error: work budget exceeded in (interval enumeration|subspace oracle"
-                r"|maximal chains): \d+ of {} units spent, \d+ more requested\n")
+BUDGET_ERROR = (r"error: work budget exceeded in (interval enumeration|subspace oracle): "
+                r"\d+ of {} units spent, \d+ more requested\n")
 
 
 @pytest.mark.parametrize("verb", ["analyze", "lattice", "nagata", "check"])

@@ -214,6 +214,32 @@ def test_dimension_at_the_cap_is_parsed():
     assert parse_instance(doc).ambient.dim == 48
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"field": {"p": 2, "e": True}, "algebra": {"poly_quotient": [False, False, True]},
+      "base_subring": {"generators": [[True, False]]}},
+     "$.field: 'p' and 'e' must be integers"),
+    ({"field": {"p": 2, "e": 2, "modulus": [1, 1, True]}, "algebra": {"poly_quotient": [0, 1]}},
+     "$.field.modulus: expected a list of integers"),
+    ({"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [False, False, True]}},
+     "$.algebra.poly_quotient: expected a list of integers"),
+    ({"field": {"p": 2, "e": 1}, "algebra": {"table": {"dim": True, "mul": [1], "one": [1]}}},
+     "$.algebra.table.dim: 'dim' must be a positive integer"),
+    ({"field": {"p": 2, "e": 1}, "algebra": {"poly_quotient": [0, 0, 1]},
+      "base_subring": {"generators": [[True, False]]}},
+     "$.base_subring.generators[0]: expected a list of integers"),
+], ids=["p-and-e", "modulus", "poly-quotient", "table-dim", "generators"])
+def test_json_booleans_are_not_integers(doc, message):
+    """JSON true and false are refused wherever the schema asks for an
+    integer, as schema/instance.json refuses them."""
+    with pytest.raises(ParseError) as caught:
+        parse_instance(doc)
+    assert str(caught.value) == message
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parent.parent / "schema" / "instance.json").read_text())
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+
+
 @pytest.mark.parametrize("p, e, one", [(2, 2, 5), (3, 1, 4)])
 def test_unit_out_of_range_exits_1(write, p, e, one):
     """The unit vector is range-checked like the structure constants."""
@@ -268,27 +294,17 @@ def test_zero_budget_is_valid(capsys):
     assert capsys.readouterr().err.startswith("error: work budget exceeded")
 
 
-def test_chain_listing_over_budget_exits_2(spent_at_default, monkeypatch, capsys):
-    """A maximal-chain listing cut short by the budget is a budget error,
-    not a failed check."""
-    path = str(GOLDEN / "y5.json")
-    left = []
-    original = cli.maximal_chains
-
-    def record(lat, limit):
-        left.append(limit)
-        return original(lat, limit)
-
-    monkeypatch.setattr(cli, "maximal_chains", record)
-    _, spent = spent_at_default(["check", path])
-    chains = len(original(cli.Analysis().lattice(cli.load_instance(path)))[0])
-    before = cli.DEFAULT_BUDGET - left[0]  # units spent when the listing starts
-    assert before + chains <= spent
-    assert main(["check", path, "--budget", str(before + chains - 1)]) == 2
-    captured = capsys.readouterr()
-    assert "FAIL" not in captured.out
-    assert captured.err.startswith("error: work budget exceeded in maximal chains: ")
-    assert captured.err.count("\n") == 1
+def test_check_counts_chains_without_charging_them(write, spent_at_default):
+    """check on F2[Y]/(Y^4)^3 over F2^3 counts its 45,360 maximal chains in
+    one pass over the covers and charges no unit for them, so 40,000 units
+    suffice: enumeration alone spends 23,953."""
+    doc = {"field": {"p": 2, "e": 1},
+           "algebra": {"product": [{"poly_quotient": [0, 0, 0, 0, 1]}] * 3},
+           "base_subring": {"generators": [[1] + [0] * 11, [0] * 4 + [1] + [0] * 7]}}
+    out, spent = spent_at_default(["check", write(doc), "--budget", "40000"])
+    assert all(line.startswith("PASS ") for line in out.splitlines())
+    assert "PASS crucial-trace-invariance: 45360 chains\n" in out
+    assert spent == 23953
 
 
 def test_exit_code_missing_field(write):

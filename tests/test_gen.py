@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from ringlat import algebra, cli
+from ringlat import algebra, cli, gfq
 from ringlat.algebra import local_decomposition
 from ringlat.canonical import is_subintegral
 from ringlat.gen import (
@@ -73,6 +73,21 @@ def test_spec_validation():
         GenSpec(seed=0, q=512)  # GF(2^9) is over the extension-table bound
     with pytest.raises(ValueError):
         GenSpec(seed=0, count=-1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--shape", "field-tower", "--q", "16", "--max-dim", "2", "--count", "1"],
+    ["check", "--gen", "field-tower", "--q", "16", "--max-dim", "2", "--count", "1"],
+], ids=["gen", "check"])
+def test_one_field_table_per_command(monkeypatch, argv):
+    """The --q option and the spec check q against the bounds of gfq; only
+    the stream builds GF(q), so its tables are built once."""
+    calls = []
+    original = gfq.GF._build_tables
+    monkeypatch.setattr(gfq.GF, "_build_tables",
+                        lambda self: calls.append(self.q) or original(self))
+    assert cli.main(argv) == 0
+    assert calls == [16]
 
 
 def test_staircases_are_downward_closed():

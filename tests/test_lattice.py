@@ -16,13 +16,14 @@ from ringlat.algebra import (
     support,
 )
 from ringlat.analysis import Analysis, BudgetExceeded
-from ringlat.canonical import seminormalization
-from ringlat.cli import load_instance
+from ringlat.canonical import crucial_traces, seminormalization
+from ringlat.cli import load_instance, parse_instance
 from ringlat.gen import SHAPES, GenSpec, random_extension
 from ringlat.gfq import GF, intersect_rowspaces, rref
 from ringlat.lattice import (
     ExtensionLattice,
     brute_force_interval,
+    chain_census,
     check_distributivity,
     enumerate_interval,
     first_incomparable_pair,
@@ -451,6 +452,43 @@ def test_maximal_chains_consistent_with_length(ext44):
     assert not trunc
     assert all(c[0] == lat.bottom and c[-1] == lat.top for c in chains)
     assert max(len(c) - 1 for c in chains) == interval_length(lat)
+
+
+Y4_CUBED = {"field": {"p": 2, "e": 1},
+            "algebra": {"product": [{"poly_quotient": [0, 0, 0, 0, 1]}] * 3},
+            "base_subring": {"generators": [[1] + [0] * 11, [0] * 4 + [1] + [0] * 7]}}
+
+
+def census_instances():
+    """The goldens, seeded streams of every shape over four fields, and
+    F2[Y]/(Y^4)^3 over F2^3 with its 45,360 maximal chains."""
+    for path in sorted(GOLDEN.glob("*.json")):
+        yield path.stem, load_instance(str(path))
+    for q in (2, 3, 4, 5):
+        for shape in SHAPES:
+            spec = GenSpec(seed=13, q=q, max_dim=5, shape=shape, count=8)
+            for k, ext in enumerate(random_extension(spec)):
+                yield f"{shape} q={q} #{k}", ext
+    yield "y4-cubed", parse_instance(Y4_CUBED)
+
+
+def test_chain_census_matches_the_listing():
+    """One pass over the covers counts the maximal chains and gathers their
+    trace sets as listing every chain does, for the crucial traces and for
+    the edges themselves, whose trace sets tell every chain apart; and the
+    listing cut at one chain gives the first chain of the full listing."""
+    seen = 0
+    for name, ext in census_instances():
+        an = Analysis()
+        lat = an.lattice(ext)
+        chains, more = maximal_chains(lat)
+        assert not more, name
+        for trace in (crucial_traces(lat, an), {e: e for e in lat.covers}):
+            expected = {frozenset(trace[e] for e in zip(c, c[1:])) for c in chains}
+            assert chain_census(lat, trace) == (len(chains), expected), name
+        assert maximal_chains(lat, 1) == ([chains[0]], len(chains) > 1), name
+        seen += 1
+    assert seen == 6 + 4 * len(SHAPES) * 8 + 1
 
 
 def test_quotient_interval_bijection(ext44, deep_local_ext):
