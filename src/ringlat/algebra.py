@@ -1,7 +1,12 @@
 """Finite-dimensional commutative unital algebras over GF(q).
 
 An :class:`Algebra` is given by structure constants on a fixed basis and is
-validated (commutative, associative, unital) at construction.  Subalgebras
+validated (commutative, associative, unital) at construction.  It takes its
+table and unit as entry sequences, checks their shape and range on the
+entries, and stores them as field-native vectors (`gfq`): packed ints over
+GF(2), tuples over any other field, the representation `gfq` picks from the
+field in each kernel call.  Every vector in this module is native, and an
+entry is read only through `gfq`.  Subalgebras
 and ideals store their vectors in the coordinates of one fixed ambient
 Algebra, as canonical reduced-echelon bases, so equality and hashing are
 structural.  Every function that takes a ring takes a Subalgebra
@@ -58,18 +63,23 @@ class Algebra:
 
     def __init__(self, field, table, one, check=True):
         self.field = field
-        self.dim = len(table)
-        if self.dim < 1:
+        self.dim = n = len(table)
+        if n < 1:
             raise AlgebraError("algebra dimension must be >= 1")
-        self.table = tuple(tuple(tuple(v) for v in row) for row in table)
-        self.one = tuple(one)
-        if len(self.one) != self.dim or any(len(row) != self.dim for row in self.table) \
-                or any(len(v) != self.dim for row in self.table for v in row):
+        # shape and range are checked on the entries: a GF(2) vector has no length
+        table = tuple(tuple(tuple(v) for v in row) for row in table)
+        one = tuple(one)
+        if len(one) != n or any(len(row) != n for row in table) \
+                or any(len(v) != n for row in table for v in row):
             raise AlgebraError("structure constant table has inconsistent shape")
-        scalars = [c for row in self.table for v in row for c in v] + list(self.one)
+        scalars = [c for row in table for v in row for c in v] + list(one)
         bad = [c for c in scalars if not isinstance(c, int) or not 0 <= c < field.q]
         if bad:
             raise AlgebraError(f"scalar {bad[0]} outside range({field.q})")
+        self.table = tuple(tuple(gfq.vector(field, v) for v in row) for row in table)
+        self.one = gfq.vector(field, one)
+        self._basis = tuple(gfq.vector(field, [int(j == i) for j in range(n)])
+                            for i in range(n))
         if check:
             self.validate()
 
@@ -92,10 +102,10 @@ class Algebra:
                         raise AlgebraError(f"multiplication not associative at ({i},{j},{k})")
 
     def basis_vec(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.dim))
+        return self._basis[i]
 
     def basis(self):
-        return tuple(self.basis_vec(i) for i in range(self.dim))
+        return self._basis
 
     def mul(self, u, v):
         return gfq.algebra_product(self.field, self.table, u, v)
@@ -105,7 +115,7 @@ class Algebra:
         bit_length(k) + popcount(k) - 2 products for k >= 1."""
         if not k:
             return self.one
-        base = tuple(u)
+        base = u
         while not k & 1:
             base = self.mul(base, base)
             k >>= 1
@@ -120,7 +130,7 @@ class Algebra:
 
     def full(self):
         if not hasattr(self, "_full"):
-            self._full = Subalgebra(self, self.basis(), check=False)
+            self._full = Subalgebra._on_rref(self, self.basis())
         return self._full
 
     def __repr__(self):
@@ -137,6 +147,14 @@ class Subspace:
     def __init__(self, ambient, rows):
         self.ambient = ambient
         self.basis = rref(ambient.field, rows)
+
+    @classmethod
+    def _on_rref(cls, ambient, rows):
+        """The subspace on rows already in rref, with no second elimination
+        and, for a Subalgebra, no closure check."""
+        out = cls.__new__(cls)
+        out.ambient, out.basis = ambient, tuple(rows)
+        return out
 
     @property
     def dim(self):
@@ -155,8 +173,13 @@ class Subspace:
     def __hash__(self):
         return hash((id(self.ambient), self.basis))
 
+    def entry_rows(self):
+        """The basis as lists of entries, as reports print it."""
+        F, n = self.ambient.field, self.ambient.dim
+        return [list(gfq.entries(F, r, n)) for r in self.basis]
+
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, basis={[list(r) for r in self.basis]})"
+        return f"{type(self).__name__}(dim={self.dim}, basis={self.entry_rows()})"
 
 
 class Subalgebra(Subspace):
@@ -261,16 +284,15 @@ def make_product(*algebras):
     n = sum(dims)
 
     def emb(vec, k):
-        return zero_vec(offsets[k]) + tuple(vec) + zero_vec(n - offsets[k] - dims[k])
+        return ((0,) * offsets[k] + gfq.entries(field, vec, dims[k])
+                + (0,) * (n - offsets[k] - dims[k]))
 
-    table = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
+    table = [[(0,) * n for _ in range(n)] for _ in range(n)]
     for k, a in enumerate(algebras):
         for i in range(a.dim):
             for j in range(a.dim):
                 table[offsets[k] + i][offsets[k] + j] = emb(a.table[i][j], k)
-    one = zero_vec(n)
-    for k, a in enumerate(algebras):
-        one = vadd(field, one, emb(a.one, k))
+    one = sum((gfq.entries(field, a.one, a.dim) for a in algebras), ())  # disjoint blocks
     return Algebra(field, table, one)
 
 
@@ -285,13 +307,13 @@ def generated_subalgebra(ambient, gens, seed=None):
     F = ambient.field
     rows = list(seed.basis if seed is not None else rref(F, [ambient.one]))
     for g in gens:
-        if len(g) != ambient.dim:
+        if not gfq.is_vector(F, g, ambient.dim):
             raise AlgebraError("generator has wrong coordinate length")
         frontier = list(rows)
         while frontier:
             frontier = [red for t in frontier
                         if (red := gfq.reduce_insert(F, rows, ambient.mul(g, t))) is not None]
-    return Subalgebra(ambient, rows, check=False)
+    return Subalgebra._on_rref(ambient, rows)  # reduce_insert kept the rows in rref
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +326,8 @@ def conductor(R, S):
     F = A.field
     if not S.contains(R):
         raise AlgebraError("conductor requires R <= S")
-    unknown_rows = []
-    for r in R.basis:
-        constraint = []
-        for s in S.basis:
-            constraint.extend(reduce_vec(F, R.basis, A.mul(r, s)))
-        unknown_rows.append(tuple(constraint))
+    unknown_rows = [gfq.concat(F, [reduce_vec(F, R.basis, A.mul(r, s)) for s in S.basis], A.dim)
+                    for r in R.basis]
     if not unknown_rows:
         return Ideal(R, (), check=False)
     rows = [lincomb(F, coeffs, R.basis) for coeffs in gfq.left_kernel(F, unknown_rows)]
@@ -374,8 +392,9 @@ class QuotientMap:
     comp_coords: tuple  # pivot columns of the quotient basis, in source coordinates
 
     def project(self, vec):
-        w = reduce_vec(self.source.field, self.ideal_rows, vec)
-        return tuple(w[c] for c in self.comp_coords)
+        F = self.source.field
+        w = reduce_vec(F, self.ideal_rows, vec)
+        return gfq.subvector(F, w, self.source.dim, self.comp_coords)
 
     def project_rows(self, rows):
         return rref(self.algebra.field, [self.project(r) for r in rows])
@@ -395,9 +414,13 @@ def quotient(S, J):
     if in_span(F, rows, A.one):
         raise AlgebraError("improper ideal: the unit maps to zero")
     basis = rref(F, [reduce_vec(F, rows, s) for s in S.basis])
-    qm = QuotientMap(A, None, rows, gfq.pivots_of(basis))
-    table = tuple(tuple(qm.project(A.mul(a, b)) for b in basis) for a in basis)
-    alg = Algebra(F, table, qm.project(A.one))
+    qm = QuotientMap(A, None, rows, gfq.pivots_of(F, basis, A.dim))
+
+    def entries(vec):
+        return gfq.entries(F, qm.project(vec), len(basis))
+
+    table = tuple(tuple(entries(A.mul(a, b)) for b in basis) for a in basis)
+    alg = Algebra(F, table, entries(A.one))
     return QuotientMap(A, alg, rows, qm.comp_coords)
 
 
@@ -405,7 +428,7 @@ def quotient(S, J):
 class LocalFactor:
     """One local factor e*ring of an Artinian ring, kept in ambient coordinates."""
 
-    idempotent: tuple          # in ambient coordinates
+    idempotent: object         # a vector in ambient coordinates
     dim: int                   # GF(q)-dimension of the factor e*ring
     maximal_ideal: Ideal       # pulled back to the ring, ambient coordinates
     residue_degree: int        # GF(q)-dimension of the residue field
@@ -441,14 +464,14 @@ def _primitive_idempotents(A, fixed):
             "idempotent-splitting-incomplete",
             f"expected {len(fixed)} primitive idempotents, found {len(idems)}")
     idems.sort()
-    total = zero_vec(A.dim)
+    total = zero_vec(F, A.dim)
     for x in idems:
         total = vadd(F, total, x)
     if total != A.one:
         raise InternalInvariantError("idempotents-incomplete",
                                      "idempotents do not sum to the unit")
     for x, y in itertools.combinations(idems, 2):
-        if any(A.mul(x, y)):
+        if not gfq.is_zero(F, A.mul(x, y)):
             raise InternalInvariantError("idempotents-not-orthogonal",
                                          "split idempotents are not orthogonal")
     return idems
@@ -475,7 +498,8 @@ def _split_idempotent(A, e, c):
     # e, c, ..., c^(deg-1) are independent, so the kernel is one relation
     # with a nonzero last entry: scaled to end in 1, it is the minimal
     # polynomial, constant term first
-    poly = vscale(F, F.inv(kernel[0][-1]), kernel[0])
+    last = gfq.entries(F, kernel[0], deg + 1)[-1]
+    poly = gfq.entries(F, vscale(F, F.inv(last), kernel[0]), deg + 1)
     roots = gfq.poly_roots(F, poly)
     if roots is None:
         raise InternalInvariantError(

@@ -228,8 +228,8 @@ def t_closure(ext, an=None):
 
     def residues(s):
         powers = {Q: A.pow(s, Q) for Q in set(exponents)}
-        return sum((gfq.reduce_vec(F, r.prime_top.basis, gfq.vsub(F, powers[Q], s))
-                    for r, Q in zip(residuals, exponents)), ())
+        return gfq.concat(F, [gfq.reduce_vec(F, r.prime_top.basis, gfq.vsub(F, powers[Q], s))
+                              for r, Q in zip(residuals, exponents)], A.dim)
 
     kernel = gfq.left_kernel(F, [residues(s) for s in S.basis])
     return Subalgebra(A, [gfq.lincomb(F, c, S.basis) for c in kernel], check=False)

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from . import __version__
+from . import __version__, gfq
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -191,7 +191,7 @@ def parse_instance(doc, path="$"):
             _expect(all(0 <= c < field.q for c in v),
                     f"$.base_subring.generators[{k}]",
                     f"coordinates must lie in range({field.q})")
-            vectors.append(tuple(v))
+            vectors.append(gfq.vector(field, v))
         try:
             bottom = generated_subalgebra(algebra, vectors)
         except AlgebraError as ex:
@@ -203,11 +203,12 @@ def serialize_instance(ext):
     """Canonical instance document (table form) for a parsed extension."""
     A = ext.ambient
     F = A.field
-    mul = [c for i in range(A.dim) for j in range(A.dim) for c in A.table[i][j]]
+    mul = [c for row in A.table for v in row for c in gfq.entries(F, v, A.dim)]
+    one = list(gfq.entries(F, A.one, A.dim))
     return {
         "field": {"p": F.p, "e": F.e, "modulus": list(F.modulus)},
-        "algebra": {"table": {"dim": A.dim, "mul": mul, "one": list(A.one)}},
-        "base_subring": {"generators": [list(r) for r in ext.bottom.basis]},
+        "algebra": {"table": {"dim": A.dim, "mul": mul, "one": one}},
+        "base_subring": {"generators": ext.bottom.entry_rows()},
     }
 
 
@@ -226,10 +227,6 @@ def load_instance(path):
 
 # ---------------------------------------------------------------------------
 # report assembly
-
-
-def _rows(node):
-    return [list(r) for r in node.basis]
 
 
 def analysis_for(args):
@@ -254,7 +251,7 @@ def build_result(ext, args):
             "length": interval_length(lat),
         },
         "support": [
-            {"maximal_ideal": _rows(m), "residue_dim": ext.bottom.dim - m.dim}
+            {"maximal_ideal": m.entry_rows(), "residue_dim": ext.bottom.dim - m.dim}
             for m in supp
         ],
         "canonical": {
@@ -331,7 +328,7 @@ def cmd_lattice(args):
     else:
         doc = {
             "version": __version__,
-            "nodes": [{"dim": n.dim, "basis": _rows(n)} for n in lat.nodes],
+            "nodes": [{"dim": n.dim, "basis": n.entry_rows()} for n in lat.nodes],
             "covers": [{"from": i, "to": j, "label": edge_label((i, j))}
                        for i, j in lat.covers],
             "bottom": lat.bottom,

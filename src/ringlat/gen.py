@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import gfq
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -98,7 +99,7 @@ def _random_vector(rng, field, dim, support=None):
     positions = support if support is not None else range(dim)
     for i in positions:
         v[i] = rng.randrange(field.q)
-    return tuple(v)
+    return gfq.vector(field, v)
 
 
 def _random_bottom(rng, field, S, nilpotent_support=None):

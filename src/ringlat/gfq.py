@@ -2,18 +2,33 @@
 
 A field element of GF(p**e) is an int in ``range(q)``: the value
 ``sum(c[i] * p**i)`` encodes the polynomial-basis coordinates ``c`` of the
-element.  Vectors are tuples of such ints, matrices are tuples of row
-tuples.  Everything is immutable, hashable and exact.
+element.  A vector of n entries is field-native, in one of three
+representations, and only this module reads one entry by entry:
+
+- over GF(2), one int of n bits, entry i at bit n - 1 - i, as in M4RI
+  (Albrecht, Bard and Hart, Algorithm 898, ACM TOMS 2010): entry 0 is the
+  highest bit, so the numeric order of vectors is the lexicographic order of
+  their entry tuples, and a sum is one XOR;
+- over GF(p) with p > 2, a tuple of ints mod p;
+- over GF(p**e) with e > 1, a tuple of field elements, computed through
+  q x q add and mul tables.
+
+`vector` and `entries` convert between entries and vectors; every length
+and range check runs on entries, since a GF(2) vector has no length.
+Matrices are tuples of vectors.  Everything is immutable, hashable and
+exact.
 
 A prime field (e = 1) stores nothing: its elements are ints mod p and every
 operation reduces mod p.  An extension field (e > 1), of size at most
 MAX_EXTENSION_Q, builds q x q add and mul tables once.  Only this module
-knows which of the two a field is.  The vector kernels (`lincomb`, `vadd`,
-`vsub`, `vscale`, `algebra_product`) and the eliminations built on them
-(`rref`, `reduce_vec`, and `reduce_insert`, which grows an rref basis one
-vector at a time) choose once per call, not once per entry: over a prime
-field they compute with plain ints and reduce mod p, over an extension field
-they index local table rows.
+knows which representation a field takes.  The vector kernels (`lincomb`,
+`vadd`, `vsub`, `vscale`, `algebra_product`), the eliminations built on
+them (`rref`, `reduce_vec`, and `reduce_insert`, which grows an rref basis
+one vector at a time, `left_kernel`, `intersect_rowspaces`) and the
+enumerations (`line_vectors`, `all_rref_matrices`) choose once per call,
+not once per entry: over GF(2) they XOR words, over any other prime field
+they compute with plain ints and reduce mod p, over an extension field they
+index local table rows.
 
 Polynomials over a field are coefficient lists, constant term first.  A few
 helpers (division and remainder by, product and power mod a monic
@@ -293,8 +308,8 @@ def _poly_gcd(field, a, b):
     """The monic gcd of a and b, not both 0.  poly_mod divides by monic
     polynomials only, so each divisor is made monic first."""
     while b:
-        a, b = b, poly_mod(field, a, vscale(field, field.inv(b[-1]), b))
-    return vscale(field, field.inv(a[-1]), a)
+        a, b = b, poly_mod(field, a, _scale_entries(field, field.inv(b[-1]), b))
+    return _scale_entries(field, field.inv(a[-1]), a)
 
 
 def poly_roots(field, f):
@@ -357,12 +372,70 @@ def _split_roots(field, f, start, h=None):
 # vectors and matrices
 
 
-def zero_vec(n):
-    return (0,) * n
+def vector(field, entries):
+    """The vector of field with the given entries: over GF(2) the int whose
+    bit n - 1 - i is entry i, over any other field the tuple of entries."""
+    if field.q == 2:
+        out = 0
+        for x in entries:
+            out = out << 1 | x
+        return out
+    return tuple(entries)
+
+
+def entries(field, vec, n):
+    """The n entries of a vector of field, as a tuple of ints."""
+    if field.q == 2:
+        return tuple(vec >> k & 1 for k in reversed(range(n)))
+    return tuple(vec)
+
+
+def is_vector(field, vec, n):
+    """Whether vec is a vector of field with n entries: over GF(2) an int with
+    no set bit at n or above, since leading zero entries leave no trace."""
+    if field.q == 2:
+        return isinstance(vec, int) and 0 <= vec < 1 << n
+    return len(vec) == n
+
+
+def zero_vec(field, n):
+    return 0 if field.q == 2 else (0,) * n
+
+
+def is_zero(field, vec):
+    return not vec if field.q == 2 else not any(vec)
+
+
+def concat(field, vecs, n):
+    """The vector of the entries of each of vecs, n of them each, in turn."""
+    if field.q == 2:
+        out = 0
+        for v in vecs:
+            out = out << n | v
+        return out
+    return sum(vecs, ())
+
+
+def subvector(field, vec, n, cols):
+    """The entries of a vector of n entries at the columns cols, as a vector."""
+    if field.q == 2:
+        out = 0
+        for c in cols:
+            out = out << 1 | vec >> (n - 1 - c) & 1
+        return out
+    return tuple(vec[c] for c in cols)
 
 
 def lincomb(field, coeffs, rows):
-    """sum(c * row for c, row in zip(coeffs, rows)), over a nonempty list of rows."""
+    """sum(c * row for c, row in zip(coeffs, rows)), over a nonempty list of
+    rows; coeffs is a vector of len(rows) entries."""
+    if field.q == 2:
+        acc, bit = 0, 1 << len(rows)
+        for row in rows:
+            bit >>= 1
+            if coeffs & bit:
+                acc ^= row
+        return acc
     if field.e == 1:
         p = field.p
         return tuple([sum(map(mul, coeffs, col)) % p for col in zip(*rows)])
@@ -376,14 +449,26 @@ def lincomb(field, coeffs, rows):
 
 
 def vadd(field, u, v):
+    if field.q == 2:
+        return u ^ v
     return _sub_scaled(field, u, field.neg(1), v)
 
 
 def vsub(field, u, v):
+    if field.q == 2:
+        return u ^ v
     return _sub_scaled(field, u, 1, v)
 
 
 def vscale(field, c, u):
+    if field.q == 2:
+        return u if c else 0
+    return _scale_entries(field, c, u)
+
+
+def _scale_entries(field, c, u):
+    """c * u for a tuple or list u of entries: a vector over q > 2, or a
+    polynomial over any field."""
     if field.e == 1:
         p = field.p
         return tuple([c * x % p for x in u])
@@ -392,7 +477,7 @@ def vscale(field, c, u):
 
 
 def _sub_scaled(field, u, c, v):
-    """u - c * v."""
+    """u - c * v, for entry tuples over q > 2."""
     if field.e == 1:
         p = field.p
         return tuple([(x - c * y) % p for x, y in zip(u, v)])
@@ -405,8 +490,24 @@ def algebra_product(field, table, u, v):
     with structure constants table.
 
     Structure constants are mostly zero, so this kernel skips zero entries
-    one by one rather than combining whole rows.
+    one by one rather than combining whole rows.  Over GF(2) it XORs the
+    table words e_i e_j over the set bits i of u and j of v.
     """
+    if field.q == 2:
+        n = len(table)
+        cols = []
+        while v:
+            k = v.bit_length()
+            v ^= 1 << (k - 1)
+            cols.append(n - k)
+        acc = 0
+        while u:
+            k = u.bit_length()
+            u ^= 1 << (k - 1)
+            row = table[n - k]
+            for j in cols:
+                acc ^= row[j]
+        return acc
     acc = [0] * len(u)
     if field.e == 1:
         p = field.p
@@ -433,13 +534,45 @@ def algebra_product(field, table, u, v):
     return tuple(acc)
 
 
-def pivots_of(rows):
-    """Pivot columns of rows already in reduced echelon form."""
+def pivots_of(field, rows, n):
+    """Pivot columns of rows of n entries already in reduced echelon form."""
+    if field.q == 2:
+        return tuple(n - r.bit_length() for r in rows)
     return tuple(next(j for j, x in enumerate(r) if x) for r in rows)
+
+
+def _reduce2(rows, v):
+    """The normal form of a GF(2) word modulo the words of a reduced echelon
+    basis: XOR with a row clears its pivot, the highest set bit of the row,
+    exactly when that makes the word smaller."""
+    for row in rows:
+        x = v ^ row
+        if x < v:
+            v = x
+    return v
+
+
+def _clear2(rows, v):
+    """Clear the pivot of a GF(2) word v, its highest set bit, from a list of
+    words in place: XOR with v clears it exactly when that makes a word
+    smaller.  The order of the words by pivot does not change."""
+    for i, row in enumerate(rows):
+        x = row ^ v
+        if x < row:
+            rows[i] = x
 
 
 def rref(field, rows):
     """Reduced row echelon form; zero rows dropped, rows sorted by pivot."""
+    if field.q == 2:
+        basis = []
+        for v in rows:
+            v = _reduce2(basis, v)
+            if v:
+                _clear2(basis, v)
+                basis.append(v)
+        basis.sort(reverse=True)  # pivot column ascending: highest bit first
+        return tuple(basis)
     mat = list(rows)
     if not mat:
         return ()
@@ -464,6 +597,8 @@ def rref(field, rows):
 
 def reduce_vec(field, rows, vec):
     """Normal form of vec modulo the row space of rref rows."""
+    if field.q == 2:
+        return _reduce2(rows, vec)
     v = tuple(vec)
     for row in rows:
         c = v[row.index(1)]  # the pivot: the first nonzero entry, and it is 1
@@ -473,7 +608,7 @@ def reduce_vec(field, rows, vec):
 
 
 def in_span(field, rows, vec):
-    return not any(reduce_vec(field, rows, vec))
+    return is_zero(field, reduce_vec(field, rows, vec))
 
 
 def contains_rows(field, rows, other_rows):
@@ -489,7 +624,11 @@ def left_kernel(field, rows):
     """
     if not rows:
         return ()
-    n, m = len(rows[0]), len(rows)
+    m = len(rows)
+    if field.q == 2:
+        red = rref(field, [r << m | 1 << (m - 1 - i) for i, r in enumerate(rows)])
+        return tuple(row for row in red if not row >> m)
+    n = len(rows[0])
     red = rref(field, [tuple(r) + tuple(1 if i == j else 0 for j in range(m))
                        for i, r in enumerate(rows)])
     return tuple(row[n:] for row in red if not any(row[:n]))
@@ -499,8 +638,11 @@ def intersect_rowspaces(field, rows_a, rows_b, ncols):
     """Zassenhaus intersection of two row spaces."""
     if not rows_a or not rows_b:
         return ()
+    if field.q == 2:
+        red = rref(field, [r << ncols | r for r in rows_a] + [r << ncols for r in rows_b])
+        return rref(field, [row for row in red if not row >> ncols])
     block = [tuple(r) + tuple(r) for r in rows_a]
-    block += [tuple(r) + zero_vec(ncols) for r in rows_b]
+    block += [tuple(r) + zero_vec(field, ncols) for r in rows_b]
     red = rref(field, block)
     out = [row[ncols:] for row in red if not any(row[:ncols])]
     return rref(field, out)
@@ -510,6 +652,12 @@ def reduce_insert(field, rows, vec):
     """Normal form of vec modulo rows, a list of rref rows, or None if it is 0.
     A nonzero normal form joins rows in place, which stay in rref."""
     red = reduce_vec(field, rows, vec)
+    if field.q == 2:
+        if not red:
+            return None
+        _clear2(rows, red)
+        rows.insert(sum(row > red for row in rows), red)
+        return red
     lead = next((j for j, x in enumerate(red) if x), None)
     if lead is None:
         return None
@@ -540,6 +688,13 @@ def line_vectors(field, rows):
     rows.
     """
     k = len(rows)
+    if field.q == 2:
+        span = [0]
+        for lead in reversed(range(k)):
+            new = [rows[lead] ^ s for s in span]
+            yield from new
+            span += new
+        return
     for lead in reversed(range(k)):
         for tail in itertools.product(field.elements(), repeat=k - 1 - lead):
             yield lincomb(field, (1,) + tail, rows[lead:])
@@ -564,6 +719,13 @@ def all_rref_matrices(field, n):
             free = [(i, j) for i in range(r) for j in range(piv[i] + 1, n)
                     if j not in piv]
             for vals in itertools.product(field.elements(), repeat=len(free)):
+                if field.q == 2:
+                    words = [1 << (n - 1 - j) for j in piv]
+                    for (i, j), v in zip(free, vals):
+                        if v:
+                            words[i] |= 1 << (n - 1 - j)
+                    yield tuple(words)
+                    continue
                 mat = [[0] * n for _ in range(r)]
                 for i in range(r):
                     mat[i][piv[i]] = 1

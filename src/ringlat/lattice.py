@@ -299,7 +299,7 @@ def to_dot(lat, edge_labels=None):
     """Hasse diagram in DOT format, cover edges bottom-up, stable ordering."""
     lines = ["digraph interval {", "  rankdir=BT;"]
     for i, node in enumerate(lat.nodes):
-        basis = "; ".join("".join(str(c) for c in row) for row in node.basis)
+        basis = "; ".join("".join(map(str, row)) for row in node.entry_rows())
         lines.append(f'  n{i} [label="dim {node.dim}\\n[{basis}]"];')
     for i, j in lat.covers:
         label = f' [label="{edge_labels[(i, j)]}"]' if edge_labels else ""

@@ -193,8 +193,8 @@ class NagataReport:
             "multi_variable": "values hold for any number of adjoined variables",
             "witnesses": [
                 {
-                    "maximal_ideal": [list(r) for r in w.maximal_ideal.basis],
-                    "incomparable_pair": [[list(r) for r in t.basis] for t in w.pair],
+                    "maximal_ideal": w.maximal_ideal.entry_rows(),
+                    "incomparable_pair": [t.entry_rows() for t in w.pair],
                 }
                 for w in self.witnesses
             ],

@@ -39,6 +39,12 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def vec(field, entries):
+    """The vector of field with the given entries, by the public conversion:
+    a packed int over GF(2), the tuple of entries over any other field."""
+    return gfq.vector(field, entries)
+
+
 def base_algebra(field):
     """The field itself as a one-dimensional algebra."""
     return make_poly_quotient(field, (0, 1))
@@ -46,7 +52,7 @@ def base_algebra(field):
 
 def elements(A):
     """All q**dim coordinate vectors of an algebra."""
-    return itertools.product(A.field.elements(), repeat=A.dim)
+    return (vec(A.field, t) for t in itertools.product(A.field.elements(), repeat=A.dim))
 
 
 def same_table(A, B):
@@ -61,7 +67,7 @@ def span_vectors(field, rows):
     if not rows:
         return
     for coeffs in itertools.product(field.elements(), repeat=len(rows)):
-        yield gfq.lincomb(field, coeffs, rows)
+        yield gfq.lincomb(field, vec(field, coeffs), rows)
 
 
 def idempotents(dec):
@@ -118,6 +124,87 @@ def scan_roots(field, poly):
     return roots
 
 
+# Entry-wise GF(2) references for the packed kernels of gfq: rows are tuples
+# of 0/1 ints, and every sum is taken mod 2 entry by entry.
+
+
+def ref2_rref(rows):
+    """Reduced row echelon form over GF(2), zero rows dropped."""
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                mat[i] = [x ^ y for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return tuple(tuple(row) for row in mat[:r])
+
+
+def ref2_reduce(rows, v):
+    """Normal form of v modulo rref rows over GF(2)."""
+    v = list(v)
+    for row in rows:
+        if v[row.index(1)]:
+            v = [x ^ y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def ref2_left_kernel(rows):
+    """The rref basis of the x with sum x_i rows_i = 0, from [rows | I]."""
+    n, m = len(rows[0]), len(rows)
+    red = ref2_rref([tuple(r) + tuple(int(i == j) for j in range(m))
+                     for i, r in enumerate(rows)])
+    return tuple(row[n:] for row in red if not any(row[:n]))
+
+
+def ref2_intersect(rows_a, rows_b, n):
+    """The rref basis of the intersection of two row spaces, by Zassenhaus."""
+    red = ref2_rref([tuple(r) + tuple(r) for r in rows_a]
+                    + [tuple(r) + (0,) * n for r in rows_b])
+    return ref2_rref([row[n:] for row in red if not any(row[:n])])
+
+
+def ref2_product(table, u, v):
+    """sum(u[i] v[j] table[i][j]) over GF(2)."""
+    acc = [0] * len(u)
+    for i, j in itertools.product(range(len(u)), repeat=2):
+        if u[i] and v[j]:
+            acc = [x ^ t for x, t in zip(acc, table[i][j])]
+    return tuple(acc)
+
+
+def ref2_line_vectors(rows):
+    """The nonzero vectors of the span of independent rows over GF(2) whose
+    coefficient tuple leads with 1, in itertools.product order per lead."""
+    k = len(rows)
+    for lead in reversed(range(k)):
+        for tail in itertools.product((0, 1), repeat=k - 1 - lead):
+            acc = rows[lead]
+            for c, row in zip(tail, rows[lead + 1:]):
+                if c:
+                    acc = tuple(x ^ y for x, y in zip(acc, row))
+            yield acc
+
+
+def ref2_rref_matrices(n):
+    """Every rref matrix of n columns over GF(2): by rank, pivot columns,
+    then the free entries row by row in itertools.product order."""
+    yield ()
+    for r in range(1, n + 1):
+        for piv in itertools.combinations(range(n), r):
+            free = [(i, j) for i in range(r) for j in range(piv[i] + 1, n)
+                    if j not in piv]
+            for vals in itertools.product((0, 1), repeat=len(free)):
+                mat = [[int(j == piv[i]) for j in range(n)] for i in range(r)]
+                for (i, j), x in zip(free, vals):
+                    mat[i][j] = x
+                yield tuple(tuple(row) for row in mat)
+
+
 def pivot_count_subspaces(q, n):
     """Reference subspace count: one term q**free per pivot pattern of an
     rref matrix, summed over all 2**n patterns."""
@@ -148,14 +235,16 @@ def prime_field_nilradical(ring):
     A = ring.ambient
     F = A.field
     p = F.p
+    Fp = GF(p)
     pm = 1
     while pm < ring.dim:
         pm *= p
     fp_basis = [gfq.vscale(F, p ** j, b) for b in ring.basis for j in range(F.e)]
-    digit_rows = [tuple(c // p ** i % p for c in A.pow(v, pm) for i in range(F.e))
+    digit_rows = [vec(Fp, [c // p ** i % p for c in gfq.entries(F, A.pow(v, pm), A.dim)
+                           for i in range(F.e)])
                   for v in fp_basis]
-    return gfq.rref(F, [gfq.lincomb(F, k, fp_basis)
-                        for k in gfq.left_kernel(GF(p), digit_rows)])
+    return gfq.rref(F, [gfq.lincomb(F, vec(F, gfq.entries(Fp, k, len(fp_basis))), fp_basis)
+                        for k in gfq.left_kernel(Fp, digit_rows)])
 
 
 def primitive_idempotents_mod_nil(ring):
@@ -190,7 +279,7 @@ def primitive_idempotents_mod_nil(ring):
                 for _ in range(F.q - 1):
                     power = mul(power, u)
                 part = gfq.vsub(F, e, power)
-                if any(part):
+                if not gfq.is_zero(F, part):
                     refined.append(part)
         idems = refined
     lifted = []
@@ -317,7 +406,7 @@ def ext_chain3(F2):
 def ext_f2xf4(F2, F4alg):
     """F2 x F2 inside F2 x F4."""
     S = make_product(base_algebra(F2), F4alg)
-    R = Subalgebra(S, [(1, 0, 0), (0, 1, 0)])
+    R = Subalgebra(S, [vec(F2, (1, 0, 0)), vec(F2, (0, 1, 0))])
     return Extension(R, S)
 
 

@@ -47,7 +47,7 @@ from ringlat.lattice import (
 )
 from ringlat.nagata import filtration_data, fip_subintegral_crosscheck, filtration_conditions, nagata_has_fip
 
-from conftest import exhaustive_top_algebras
+from conftest import exhaustive_top_algebras, vec
 
 # frozen from the brute-force oracle ahead of the enumeration build
 EX44_CARDINALITY = 6
@@ -103,8 +103,9 @@ def test_criterion_1_running_example_regression(ex44):
     lat = enumerate_interval(ex44)
     assert is_subintegral(ex44)
     nodes = {n.basis: n for n in lat.nodes}
-    ky2 = nodes[((1, 0, 0, 0), (0, 0, 1, 0))]
-    ky3 = nodes[((1, 0, 0, 0), (0, 0, 0, 1))]
+    F2 = ex44.ambient.field
+    ky2 = nodes[(vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0)))]
+    ky3 = nodes[(vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 0, 1)))]
     assert not ky2.contains(ky3) and not ky3.contains(ky2)
     arithmetic, witnesses = is_arithmetic(ex44)
     assert arithmetic is False and witnesses

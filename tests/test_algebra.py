@@ -35,24 +35,25 @@ from conftest import (
     primitive_idempotents_mod_nil,
     same_table,
     span_vectors,
+    vec,
 )
 
 
 def test_poly_quotient_nilpotent(F2, T44):
     assert T44.dim == 4
     y = T44.basis_vec(1)
-    assert T44.pow(y, 4) == gfq.zero_vec(T44.dim)
-    assert T44.mul(T44.basis_vec(2), T44.basis_vec(3)) == gfq.zero_vec(T44.dim)
+    assert T44.pow(y, 4) == gfq.zero_vec(F2, T44.dim)
+    assert T44.mul(T44.basis_vec(2), T44.basis_vec(3)) == gfq.zero_vec(F2, T44.dim)
 
 
 def test_poly_quotient_degree_one_is_base_field(F2):
     A = make_poly_quotient(F2, (1, 1))  # Y - 1 over GF(2)
     assert A.dim == 1
-    assert A.one == (1,)
+    assert A.one == vec(F2, (1,))
 
 
 def test_poly_quotient_irreducible_gives_field(F4alg):
-    nonzero = [v for v in elements(F4alg) if any(v)]
+    nonzero = [v for v in elements(F4alg) if not gfq.is_zero(F4alg.field, v)]
     for v in nonzero:
         assert any(F4alg.mul(v, w) == F4alg.one for w in nonzero)
 
@@ -71,11 +72,29 @@ def test_algebra_validation_reports_failure(F2):
         Algebra(F2, table, (1, 0))
 
 
+@pytest.mark.parametrize("F", [GF(2), GF(3)], ids=["q2", "q3"])
+def test_vectors_are_checked_on_their_entries(F):
+    """The shape and range of the table and the unit are checked on their
+    entries, before any vector is packed, and a generator must be a vector
+    of the ambient: over GF(2), an int with no set bit at dim or above."""
+    y2 = [[(1, 0), (0, 1)], [(0, 1), (0, 0)]]  # F[Y]/(Y^2)
+    q = F.q
+    with pytest.raises(AlgebraError, match=rf"^scalar {q} outside range\({q}\)$"):
+        Algebra(F, [[(1, 0), (0, 1)], [(0, 1), (0, q)]], (1, 0))
+    with pytest.raises(AlgebraError, match=rf"^scalar {q} outside range\({q}\)$"):
+        Algebra(F, y2, (1, q))
+    with pytest.raises(AlgebraError, match="^structure constant table has inconsistent shape$"):
+        Algebra(F, [[(1, 0), (0, 1)], [(0, 1), (0, 0, 0)]], (1, 0))
+    A = Algebra(F, y2, (1, 0))
+    with pytest.raises(AlgebraError, match="^generator has wrong coordinate length$"):
+        generated_subalgebra(A, [vec(F, (1, 0, 0))])
+
+
 def test_make_product(F2, F4alg):
     P = make_product(base_algebra(F2), base_algebra(F2))
-    assert P.dim == 2 and P.one == (1, 1)
+    assert P.dim == 2 and P.one == vec(F2, (1, 1))
     dec = local_decomposition(P.full())
-    assert sorted(idempotents(dec)) == [(0, 1), (1, 0)]
+    assert sorted(idempotents(dec)) == [vec(F2, (0, 1)), vec(F2, (1, 0))]
     P2 = make_product(base_algebra(F2), F4alg)
     assert P2.dim == 3
     assert len(local_decomposition(P2.full()).factors) == 2
@@ -88,9 +107,10 @@ def test_make_product(F2, F4alg):
 
 def test_generated_subalgebra(T44):
     K = generated_subalgebra(T44, [])
-    assert K.basis == ((1, 0, 0, 0),)
+    F2 = T44.field
+    assert K.basis == (vec(F2, (1, 0, 0, 0)),)
     Ky2 = generated_subalgebra(T44, [T44.basis_vec(2)])
-    assert Ky2.basis == ((1, 0, 0, 0), (0, 0, 1, 0))
+    assert Ky2.basis == (vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0)))
     assert generated_subalgebra(T44, [T44.basis_vec(1)]).dim == 4
 
 
@@ -99,7 +119,7 @@ def all_pairs_closure(ambient, gens, seed=None):
     products of all pairs of rows added until a round adds nothing."""
     F = ambient.field
     seed_rows = seed.basis if seed is not None else ()
-    rows = rref(F, [ambient.one, *seed_rows, *map(tuple, gens)])
+    rows = rref(F, [ambient.one, *seed_rows, *gens])
     while True:
         prods = [ambient.mul(a, b) for a, b in itertools.combinations_with_replacement(rows, 2)]
         new = rref(F, rows + tuple(prods))
@@ -118,7 +138,7 @@ def _seeded_closures(monkeypatch, q, max_dim):
     calls = []
 
     def recording(ambient, gens, seed=None):
-        calls.append((ambient, [tuple(g) for g in gens], seed))
+        calls.append((ambient, list(gens), seed))
         return generated_subalgebra(ambient, gens, seed=seed)
 
     monkeypatch.setattr(gen, "generated_subalgebra", recording)
@@ -165,10 +185,11 @@ def test_closure_makes_dim_products(monkeypatch, q, max_dim):
 
 
 def test_subspace_equality_is_class_ambient_and_basis(F2, T44):
-    rows = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    rows = [vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1))]
     R = Subalgebra(T44, rows)
     again = Subalgebra(T44, rows)
-    respanned = Subalgebra(T44, [(1, 0, 1, 1), (0, 0, 1, 1), (0, 0, 0, 1)])
+    respanned = Subalgebra(T44, [vec(F2, (1, 0, 1, 1)), vec(F2, (0, 0, 1, 1)),
+                                 vec(F2, (0, 0, 0, 1))])
     assert R == again == respanned and hash(R) == hash(again) == hash(respanned)
     unit_ideal = Ideal(R, rows)
     assert unit_ideal.basis == R.basis
@@ -181,14 +202,14 @@ def test_conductor_examples(F2, T44):
     K = generated_subalgebra(T44, [])
     assert conductor(K, T44.full()).basis == ()
     assert conductor(T44.full(), T44.full()).dim == 4
-    R = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    assert conductor(R, T44.full()).basis == ((0, 0, 1, 0), (0, 0, 0, 1))
+    R = Subalgebra(T44, [vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1))])
+    assert conductor(R, T44.full()).basis == (vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1)))
 
 
 def test_conductor_is_largest_common_ideal(F2, T44):
     """Brute-force check on a small instance: no bigger subspace of R is a
     common ideal of R and S."""
-    R = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    R = Subalgebra(T44, [vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1))])
     cond = conductor(R, T44.full())
     best = ()
     for rows in gfq.all_rref_matrices(T44.field, 4):
@@ -203,10 +224,11 @@ def test_conductor_is_largest_common_ideal(F2, T44):
 
 
 def test_nilradical_examples(F2, T44, F4alg):
-    assert nilradical(T44.full()).basis == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert nilradical(T44.full()).basis == (
+        vec(F2, (0, 1, 0, 0)), vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1)))
     assert nilradical(F4alg.full()).dim == 0
     P = make_product(base_algebra(F2), make_poly_quotient(F2, (0, 0, 1)))
-    assert nilradical(P.full()).basis == ((0, 0, 1),)
+    assert nilradical(P.full()).basis == (vec(F2, (0, 0, 1)),)
 
 
 @pytest.mark.parametrize("seed, q", [pytest.param(seed, q, id=str(seed) if q == 2 else f"q{q}-{seed}")
@@ -220,9 +242,10 @@ def test_nilradical_matches_brute_force(seed, q):
         if A.field.q ** A.dim > 4096:
             continue
         nil = nilradical(A.full())
-        expected = sorted(v for v in elements(A) if A.pow(v, A.dim) == gfq.zero_vec(A.dim))
+        zero = gfq.zero_vec(A.field, A.dim)
+        expected = sorted(v for v in elements(A) if A.pow(v, A.dim) == zero)
         got = sorted(span_vectors(A.field, nil.basis)) if nil.dim else []
-        got = sorted(set(got) | {gfq.zero_vec(A.dim)})
+        got = sorted(set(got) | {zero})
         assert got == expected
 
 
@@ -244,14 +267,14 @@ def test_local_decomposition_invariants(F2, T44, F4alg):
     decT = local_decomposition(T44.full())
     assert decT.is_local
     assert decT.factors[0].maximal_ideal.basis == (
-        (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        vec(F2, (0, 1, 0, 0)), vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1)))
     P = make_product(F4alg, make_poly_quotient(F2, (0, 0, 1)))
     dec = local_decomposition(P.full())
     assert sorted(f.residue_degree for f in dec.factors) == [1, 2]
     assert sum(f.dim for f in dec.factors) == P.dim
     for fa, fb in itertools.combinations(dec.factors, 2):
-        assert P.mul(fa.idempotent, fb.idempotent) == gfq.zero_vec(P.dim)
-    total = gfq.zero_vec(P.dim)
+        assert P.mul(fa.idempotent, fb.idempotent) == gfq.zero_vec(F2, P.dim)
+    total = gfq.zero_vec(F2, P.dim)
     for f in dec.factors:
         assert P.mul(f.idempotent, f.idempotent) == f.idempotent
         total = gfq.vadd(P.field, total, f.idempotent)
@@ -261,7 +284,7 @@ def test_local_decomposition_invariants(F2, T44, F4alg):
 def _primitive_by_scan(ring):
     """The minimal nonzero idempotents of ring, by exhaustive scan."""
     A = ring.ambient
-    nonzero = [e for e in brute_force_idempotents(ring) if any(e)]
+    nonzero = [e for e in brute_force_idempotents(ring) if not gfq.is_zero(A.field, e)]
     return sorted(e for e in nonzero
                   if not any(A.mul(e, f) == f for f in nonzero if f != e))
 
@@ -356,17 +379,17 @@ def test_idempotent_splitting_work_does_not_grow_with_the_field(monkeypatch, p, 
 
 
 def test_quotient_examples(F2, T44):
-    qm = quotient(T44.full(), [(0, 0, 0, 1)])
+    qm = quotient(T44.full(), [vec(F2, (0, 0, 0, 1))])
     assert same_table(qm.algebra, make_poly_quotient(F2, (0, 0, 0, 1)))
     qm0 = quotient(T44.full(), ())
     assert same_table(qm0.algebra, T44)
     with pytest.raises(AlgebraError):
         quotient(T44.full(), T44.full().basis)
     # a proper subring: GF(2)[y^2] modulo y^2 is GF(2)
-    even = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0)])
-    qm_even = quotient(even, [(0, 0, 1, 0)])
+    even = Subalgebra(T44, [vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0))])
+    qm_even = quotient(even, [vec(F2, (0, 0, 1, 0))])
     assert same_table(qm_even.algebra, base_algebra(F2))
-    assert qm_even.project_rows(even.basis) == ((1,),)
+    assert qm_even.project_rows(even.basis) == (vec(F2, (1,)),)
     # projection is a ring map
     for u in [T44.basis_vec(1), T44.basis_vec(2)]:
         for v in [T44.basis_vec(1), T44.one]:
@@ -378,14 +401,15 @@ def test_module_length_examples(F2, T44):
     K = generated_subalgebra(T44, [])
     assert module_length(K, T44.full().basis, K.basis) == 3
     assert module_length(K, (), ()) == 0
-    R = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    R = Subalgebra(T44, [vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1))])
     M = local_decomposition(R).factors[0].maximal_ideal
     assert module_length(R, R.basis, M.basis) == 1  # the simple module R/M
 
 
 def test_module_length_additive_on_nested_triples(F2, T44):
     K = generated_subalgebra(T44, [])
-    nested = [(), ((0, 0, 0, 1),), ((0, 0, 1, 0), (0, 0, 0, 1)), T44.full().basis]
+    nested = [(), (vec(F2, (0, 0, 0, 1)),), (vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1))),
+              T44.full().basis]
     for i in range(len(nested)):
         for j in range(i + 1, len(nested)):
             for k in range(j + 1, len(nested)):
@@ -441,9 +465,9 @@ def test_module_length_matches_radical_filtration():
 
 
 def test_module_length_rejects_unstable(F2, T44):
-    R = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    R = Subalgebra(T44, [vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1))])
     with pytest.raises(AlgebraError):
-        module_length(R, ((0, 1, 0, 0),), ())  # y alone is not R-stable
+        module_length(R, (vec(F2, (0, 1, 0, 0)),), ())  # y alone is not R-stable
 
 
 def test_localize_extension(ext_f2xf4, F2, F4alg, monkeypatch):
@@ -453,7 +477,7 @@ def test_localize_extension(ext_f2xf4, F2, F4alg, monkeypatch):
     from ringlat.lattice import enumerate_interval
 
     S = make_product(make_poly_quotient(F2, (0, 0, 0, 1)), F4alg)
-    ext = Extension(generated_subalgebra(S, [(1, 0, 0, 0, 0)]), S)  # F2 x F2
+    ext = Extension(generated_subalgebra(S, [vec(F2, (1, 0, 0, 0, 0))]), S)  # F2 x F2
     A, F = ext.ambient, ext.ambient.field
     an = Analysis()
     dec = an.decomposition(ext.bottom)
@@ -542,7 +566,8 @@ def test_support_examples(ext44, ext_f2xf4, T44):
 
 def test_algebra_validation_is_exhaustive(T44):
     # associativity tampering is caught
-    table = [list(map(list, row)) for row in T44.table]
+    F2 = T44.field
+    table = [[list(gfq.entries(F2, v, 4)) for v in row] for row in T44.table]
     table[3][3] = [0, 1, 0, 0]  # y^3 * y^3 = y, breaks associativity
     with pytest.raises(AlgebraError):
-        Algebra(T44.field, [[tuple(v) for v in row] for row in table], T44.one)
+        Algebra(F2, [[tuple(v) for v in row] for row in table], gfq.entries(F2, T44.one, 4))

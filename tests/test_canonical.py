@@ -51,6 +51,7 @@ from conftest import (
     primitive_idempotents_mod_nil,
     residual_subintegral,
     span_vectors,
+    vec,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -444,7 +445,7 @@ def test_lambda_crosschecks(ext44, ext64, F2, F4alg):
     # of length 1 each
     F8 = make_poly_quotient(F2, irreducible_poly(F2, 3))
     S = make_product(F4alg, F8)
-    R = Subalgebra(S, [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)])
+    R = Subalgebra(S, [vec(F2, (1, 0, 0, 0, 0)), vec(F2, (0, 0, 1, 0, 0))])
     ext = Extension(R, S)
     an = Analysis()
     assert is_t_closed(ext, an)

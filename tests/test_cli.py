@@ -240,14 +240,36 @@ def test_json_booleans_are_not_integers(doc, message):
         jsonschema.validate(doc, schema)
 
 
-@pytest.mark.parametrize("p, e, one", [(2, 2, 5), (3, 1, 4)])
+@pytest.mark.parametrize("p, e, one", [(2, 2, 5), (3, 1, 4), (2, 1, 2)])
 def test_unit_out_of_range_exits_1(write, p, e, one):
-    """The unit vector is range-checked like the structure constants."""
+    """The unit vector is range-checked like the structure constants, over
+    GF(2) too, where a vector is packed only after its entries pass."""
     doc = {"field": {"p": p, "e": e},
            "algebra": {"table": {"dim": 1, "mul": [1], "one": [one]}}}
     rc, out, err = run_cli(["analyze", write(doc)])
     assert (rc, out) == (1, "")
     assert err == f"error: $.algebra: scalar {one} outside range({p ** e})\n"
+
+
+Y2_TABLE = {"dim": 2, "mul": [1, 0, 0, 1, 0, 1, 0, 0], "one": [1, 0]}  # F2[Y]/(Y^2)
+
+
+@pytest.mark.parametrize("table, generators, message", [
+    ({**Y2_TABLE, "mul": [1, 0, 0, 1, 0, 2, 0, 0]}, [],
+     "$.algebra: scalar 2 outside range(2)"),
+    ({**Y2_TABLE, "mul": [1, 0, 0, 1, 0, 1, 0]}, [],
+     "$.algebra.table.mul: expected 8 scalars, got 7"),
+    (Y2_TABLE, [[0, 0, 1]], "$.base_subring.generators[0]: expected 2 coordinates, got 3"),
+    (Y2_TABLE, [[0, 2]], "$.base_subring.generators[0]: coordinates must lie in range(2)"),
+], ids=["table-entry-2", "table-short", "generator-long", "generator-entry-2"])
+def test_gf2_entries_are_checked_before_packing(write, table, generators, message):
+    """Over GF(2) a vector is an int, which has no length and no entry of 2:
+    each check runs on the entries of the document, and a generator one
+    entry too long is refused although its leading zero would pack away."""
+    doc = {"field": {"p": 2, "e": 1}, "algebra": {"table": table},
+           "base_subring": {"generators": generators}}
+    rc, out, err = run_cli(["analyze", write(doc)])
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_exit_code_budget(write):

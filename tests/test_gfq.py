@@ -26,9 +26,17 @@ from ringlat.gfq import (
 from conftest import (
     deadline,
     pivot_count_subspaces,
+    ref2_intersect,
+    ref2_left_kernel,
+    ref2_line_vectors,
+    ref2_product,
+    ref2_reduce,
+    ref2_rref,
+    ref2_rref_matrices,
     scan_roots,
     span_vectors,
     trial_division_irreducible,
+    vec,
 )
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 6)]
@@ -180,40 +188,41 @@ def matrices(draw):
     F = GF(*q_choice)
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 5))
-    rows = tuple(tuple(draw(st.integers(0, F.q - 1)) for _ in range(n))
+    rows = tuple(vec(F, [draw(st.integers(0, F.q - 1)) for _ in range(n)])
                  for _ in range(m))
-    return F, rows
+    return F, n, rows
 
 
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_rref_idempotent_and_canonical(data):
-    F, rows = data
+    F, n, rows = data
     red = rref(F, rows)
     assert rref(F, red) == red
     for v in rows:
         assert in_span(F, red, v)
-    pivots = gfq.pivots_of(red)
+    pivots = gfq.pivots_of(F, red, n)
     assert list(pivots) == sorted(pivots)
     for i, row in enumerate(red):
         for j, other in enumerate(red):
             if i != j:
-                assert other[pivots[i]] == 0
+                assert gfq.entries(F, other, n)[pivots[i]] == 0
 
 
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_left_kernel_annihilates(data):
-    F, rows = data
+    F, n, rows = data
     for coeffs in left_kernel(F, rows):
-        acc = gfq.zero_vec(len(rows[0]))
-        for c, r in zip(coeffs, rows):
+        acc = gfq.zero_vec(F, n)
+        for c, r in zip(gfq.entries(F, coeffs, len(rows)), rows):
             acc = gfq.vadd(F, acc, gfq.vscale(F, c, r))
-        assert not any(acc)
+        assert gfq.is_zero(F, acc)
 
 
 def _combine(F, coeffs, rows):
-    acc = gfq.zero_vec(len(rows[0]))
+    """sum(c * row) for a list of coefficient entries, by vadd and vscale."""
+    acc = gfq.vsub(F, rows[0], rows[0])
     for c, r in zip(coeffs, rows):
         acc = gfq.vadd(F, acc, gfq.vscale(F, c, r))
     return acc
@@ -226,39 +235,40 @@ def dependent_matrices(draw):
     F = GF(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)])))
     elem = st.integers(0, F.q - 1)
     n = draw(st.integers(1, 5))
-    rows = [tuple(draw(elem) for _ in range(n)) for _ in range(draw(st.integers(1, 4)))]
+    rows = [vec(F, [draw(elem) for _ in range(n)]) for _ in range(draw(st.integers(1, 4)))]
     for _ in range(draw(st.integers(0, 3))):
         rows.append(_combine(F, [draw(elem) for _ in rows], rows))
     rows = tuple(draw(st.permutations(rows)))
-    return F, rows, [draw(elem) for _ in rows]
+    return F, n, rows, [draw(elem) for _ in rows]
 
 
-def _rebuilds(F, rows, vec):
-    """Whether some relation of left_kernel(rows + [vec]) has a nonzero last
-    entry, that is whether vec lies in the span of rows; such a relation
-    must rebuild vec from rows."""
-    rel = next((x for x in left_kernel(F, tuple(rows) + (tuple(vec),)) if x[-1]), None)
+def _rebuilds(F, rows, v):
+    """Whether some relation of left_kernel(rows + [v]) has a nonzero last
+    entry, that is whether v lies in the span of rows; such a relation
+    must rebuild v from rows."""
+    relations = (gfq.entries(F, x, len(rows) + 1) for x in left_kernel(F, tuple(rows) + (v,)))
+    rel = next((x for x in relations if x[-1]), None)
     if rel is None:
         return False
-    coeffs = gfq.vscale(F, F.neg(F.inv(rel[-1])), rel[:-1])
-    assert _combine(F, coeffs, rows) == tuple(vec)
+    coeffs = [F.mul(F.neg(F.inv(rel[-1])), c) for c in rel[:-1]]
+    assert _combine(F, coeffs, rows) == v
     return True
 
 
 @given(dependent_matrices())
 @settings(max_examples=150, deadline=None)
 def test_express_and_left_kernel_are_complete(data):
-    F, rows, coeffs = data
+    F, n, rows, coeffs = data
     red = rref(F, rows)
     kernel = left_kernel(F, rows)
     assert len(kernel) == len(rows) - len(red)
     assert rref(F, kernel) == kernel
-    assert all(not any(_combine(F, x, rows)) for x in kernel)
+    assert all(gfq.is_zero(F, _combine(F, gfq.entries(F, x, len(rows)), rows)) for x in kernel)
     assert _rebuilds(F, rows, _combine(F, coeffs, rows))
-    pivots = gfq.pivots_of(red)
-    for j in range(len(rows[0])):
+    pivots = gfq.pivots_of(F, red, n)
+    for j in range(n):
         if j not in pivots:  # the unit vector e_j is outside the span
-            assert not _rebuilds(F, rows, tuple(int(i == j) for i in range(len(rows[0]))))
+            assert not _rebuilds(F, rows, vec(F, [int(i == j) for i in range(n)]))
 
 
 @pytest.mark.parametrize("q,modulus", [
@@ -273,13 +283,13 @@ def test_default_modulus_is_pinned(q, modulus):
 
 def test_intersection_exhaustive_gf2():
     F = GF(2)
-    a = ((1, 0, 1, 0), (0, 1, 0, 0))
-    b = ((1, 1, 1, 0), (0, 0, 0, 1))
+    a = (vec(F, (1, 0, 1, 0)), vec(F, (0, 1, 0, 0)))
+    b = (vec(F, (1, 1, 1, 0)), vec(F, (0, 0, 0, 1)))
     met = intersect_rowspaces(F, a, b, 4)
     expected = {v for v in span_vectors(F, a)} & {v for v in span_vectors(F, b)}
     got = set(span_vectors(F, met)) if met else set()
-    got.add((0, 0, 0, 0))
-    expected.add((0, 0, 0, 0))
+    got.add(vec(F, (0, 0, 0, 0)))
+    expected.add(vec(F, (0, 0, 0, 0)))
     assert got == expected
 
 
@@ -294,8 +304,8 @@ def test_express_and_reduce():
 
 def test_complement_extends_basis():
     F = GF(2)
-    sub = ((1, 0, 0, 0),)
-    sup = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1))
+    sub = (vec(F, (1, 0, 0, 0)),)
+    sup = (vec(F, (1, 0, 0, 0)), vec(F, (0, 1, 0, 0)), vec(F, (0, 0, 1, 1)))
     comp = complement_in(F, sub, sup)
     assert len(comp) == 2
     assert rref(F, sub + comp) == rref(F, sup)
@@ -305,7 +315,7 @@ def _first_of_each_line(F, rows):
     """The first vector of each line that span_vectors meets, in that order."""
     firsts, seen = [], set()
     for v in span_vectors(F, rows):
-        if any(v) and v not in seen:
+        if not gfq.is_zero(F, v) and v not in seen:
             firsts.append(v)
             seen.update(gfq.vscale(F, c, v) for c in range(1, F.q))
     return firsts
@@ -316,13 +326,13 @@ def test_line_vectors_one_per_line(q):
     F = GF(*prime_power(q))
     rng = random.Random(q)
     for k, n in ((1, 3), (2, 3), (2, 4), (3, 4), (3, 4)):
-        rows = rref(F, [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)])
+        rows = rref(F, [vec(F, [rng.randrange(q) for _ in range(n)]) for _ in range(k)])
         got = list(gfq.line_vectors(F, rows))
-        nonzero = {v for v in span_vectors(F, rows) if any(v)}
+        nonzero = {v for v in span_vectors(F, rows) if not gfq.is_zero(F, v)}
         lines = [frozenset(gfq.vscale(F, c, v) for c in range(1, q)) for v in got]
         assert len(got) == (q ** len(rows) - 1) // (q - 1)
         assert len(set(lines)) == len(lines) and set().union(*lines) == nonzero
-        assert all(next(x for x in v if x) == 1 for v in got)
+        assert all(next(x for x in gfq.entries(F, v, n) if x) == 1 for v in got)
         meet = iter(span_vectors(F, rows))
         assert all(v in meet for v in got)  # a subsequence of span_vectors
         assert got == _first_of_each_line(F, rows)
@@ -448,21 +458,23 @@ def field_vectors(draw):
 def test_lincomb_and_vector_ops_match_reference(fv, data):
     F, elem, rows = fv
     coeffs = data.draw(st.tuples(*[elem] * len(rows)))
-    assert gfq.lincomb(F, coeffs, rows) == _ref_lincomb(F, coeffs, rows)
+    vecs = [vec(F, r) for r in rows]
+    assert gfq.lincomb(F, vec(F, coeffs), vecs) == vec(F, _ref_lincomb(F, coeffs, rows))
     u, v, c = rows[0], rows[-1], coeffs[0]
-    assert gfq.vadd(F, u, v) == _ref_lincomb(F, (1, 1), (u, v))
-    assert gfq.vsub(F, u, v) == _ref_lincomb(F, (1, F.neg(1)), (u, v))
-    assert gfq.vscale(F, c, u) == _ref_lincomb(F, (c,), (u,))
+    assert gfq.vadd(F, vec(F, u), vec(F, v)) == vec(F, _ref_lincomb(F, (1, 1), (u, v)))
+    assert gfq.vsub(F, vec(F, u), vec(F, v)) == vec(F, _ref_lincomb(F, (1, F.neg(1)), (u, v)))
+    assert gfq.vscale(F, c, vec(F, u)) == vec(F, _ref_lincomb(F, (c,), (u,)))
 
 
 @given(field_vectors(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_rref_and_reduce_vec_match_reference(fv, data):
     F, elem, rows = fv
-    red = rref(F, rows)
-    assert red == _ref_rref(F, rows)
-    vec = data.draw(st.tuples(*[elem] * len(rows[0])))
-    assert reduce_vec(F, red, vec) == _ref_reduce(F, red, vec)
+    red = rref(F, [vec(F, r) for r in rows])
+    ref = _ref_rref(F, rows)
+    assert red == tuple(vec(F, r) for r in ref)
+    v = data.draw(st.tuples(*[elem] * len(rows[0])))
+    assert reduce_vec(F, red, vec(F, v)) == vec(F, _ref_reduce(F, ref, v))
 
 
 @given(field_vectors())
@@ -471,12 +483,14 @@ def test_reduce_insert_grows_the_rref(fv):
     """Inserting vectors one at a time keeps rows equal to the rref of all of
     them, and returns each vector's normal form modulo the rows before it."""
     F, _, vecs = fv
+    n = len(vecs[0])
     rows = []
     for k, v in enumerate(vecs):
-        expected = _ref_reduce(F, rref(F, vecs[:k]), v)
-        red = gfq.reduce_insert(F, rows, v)
-        assert red == (expected if any(expected) else None)
-        assert tuple(rows) == rref(F, vecs[:k + 1])
+        before = [gfq.entries(F, r, n) for r in rref(F, [vec(F, u) for u in vecs[:k]])]
+        expected = _ref_reduce(F, before, v)
+        red = gfq.reduce_insert(F, rows, vec(F, v))
+        assert red == (vec(F, expected) if any(expected) else None)
+        assert tuple(rows) == rref(F, [vec(F, u) for u in vecs[:k + 1]])
 
 
 @given(kernel_fields(), st.data())
@@ -485,11 +499,11 @@ def test_algebra_mul_matches_reference(F, data):
     """Any structure constants will do: the product is bilinear in them."""
     n = data.draw(st.integers(1, 4))
     elem = st.one_of(st.just(0), st.just(1), st.integers(0, F.q - 1))
-    vec = st.tuples(*[elem] * n)
-    table = data.draw(st.tuples(*[st.tuples(*[vec] * n)] * n))
+    vector = st.tuples(*[elem] * n)
+    table = data.draw(st.tuples(*[st.tuples(*[vector] * n)] * n))
     A = Algebra(F, table, (1,) + (0,) * (n - 1), check=False)
-    u, v = data.draw(vec), data.draw(vec)
-    assert A.mul(u, v) == _ref_product(F, table, u, v)
+    u, v = data.draw(vector), data.draw(vector)
+    assert A.mul(vec(F, u), vec(F, v)) == vec(F, _ref_product(F, table, u, v))
 
 
 @given(st.sampled_from(PRIME_FIELDS), st.data())
@@ -538,3 +552,70 @@ def test_prime_field_allocates_no_tables():
     assert F.mul(4092, 4092) == 1
     with pytest.raises(ValueError, match="field size 4099 exceeds supported bound 4096"):
         GF(4099)
+
+
+# ---------------------------------------------------------------------------
+# the packed GF(2) kernels against the entry-wise references of conftest
+
+F2 = GF(2)
+F2_WIDTHS = (1, 2, 47, 48)  # 48 is cli.MAX_DIM
+
+
+def _packed(rows):
+    return tuple(vec(F2, r) for r in rows)
+
+
+@st.composite
+def gf2_rows(draw, n):
+    """Entry rows of width n over GF(2): random, zero, or zero in their
+    leading columns."""
+    bit = st.integers(0, 1)
+    lead = draw(st.integers(0, n - 1))
+    row = st.one_of(st.tuples(*[bit] * n), st.just((0,) * n),
+                    st.tuples(*[st.just(0)] * lead, *[bit] * (n - lead)))
+    return draw(st.lists(row, max_size=6))
+
+
+@given(st.sampled_from(F2_WIDTHS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_gf2_kernels_match_the_entry_wise_references(n, data):
+    rows, other = data.draw(gf2_rows(n)), data.draw(gf2_rows(n))
+    packed = _packed(rows)
+    assert [gfq.entries(F2, v, n) for v in packed] == rows
+    assert sorted(packed) == list(_packed(sorted(rows)))
+    red = ref2_rref(rows)
+    assert rref(F2, packed) == _packed(red)
+    grown = []
+    for k, r in enumerate(rows):
+        expected = ref2_reduce(ref2_rref(rows[:k]), r)
+        assert gfq.reduce_insert(F2, grown, vec(F2, r)) == \
+            (vec(F2, expected) if any(expected) else None)
+        assert tuple(grown) == _packed(ref2_rref(rows[:k + 1]))
+    if rows:
+        assert left_kernel(F2, packed) == _packed(ref2_left_kernel(rows))
+    assert intersect_rowspaces(F2, packed, _packed(other), n) == \
+        _packed(ref2_intersect(rows, other, n))
+    assert list(gfq.line_vectors(F2, _packed(red))) == list(_packed(ref2_line_vectors(red)))
+
+
+@given(st.sampled_from(F2_WIDTHS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_gf2_product_matches_the_entry_wise_reference(n, data):
+    """A sparse table of random structure constants: the product is bilinear
+    in them, so any table will do."""
+    vector = st.one_of(st.tuples(*[st.integers(0, 1)] * n), st.just((0,) * n))
+    index = st.integers(0, n - 1)
+    words = data.draw(st.dictionaries(st.tuples(index, index), vector, max_size=8))
+    table = [[words.get((i, j), (0,) * n) for j in range(n)] for i in range(n)]
+    packed = tuple(_packed(row) for row in table)
+    u, v = data.draw(vector), data.draw(vector)
+    assert gfq.algebra_product(F2, packed, vec(F2, u), vec(F2, v)) == \
+        vec(F2, ref2_product(table, u, v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 47, 48])
+def test_packed_gf2_subspaces_come_in_the_entry_wise_order(n):
+    """All of them up to width 5, and the first 3000 at widths 47 and 48."""
+    got = itertools.islice(all_rref_matrices(F2, n), 3000)
+    want = itertools.islice(ref2_rref_matrices(n), 3000)
+    assert list(got) == [_packed(m) for m in want]

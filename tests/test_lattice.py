@@ -37,7 +37,7 @@ from ringlat.lattice import (
     to_dot,
 )
 
-from conftest import base_algebra, distributivity_scan, incomparable_pair_scan, leq
+from conftest import base_algebra, distributivity_scan, incomparable_pair_scan, leq, vec
 
 # regression values frozen from the brute-force oracle before the main build
 EX44_CARDINALITY = 6
@@ -203,8 +203,9 @@ def test_is_arithmetic_witness(ext44):
     assert not ok
     pair = witnesses[0].pair
     bases = {p.basis for p in pair}
-    assert ((1, 0, 0, 0), (0, 0, 1, 0)) in bases  # K[y^2]
-    assert ((1, 0, 0, 0), (0, 0, 0, 1)) in bases  # K[y^3]
+    F2 = ext44.ambient.field
+    assert (vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0))) in bases  # K[y^2]
+    assert (vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 0, 1))) in bases  # K[y^3]
     assert not pair[0].contains(pair[1]) and not pair[1].contains(pair[0])
 
 
@@ -214,7 +215,7 @@ def test_is_arithmetic_chain_and_product(ext_chain3, F2):
 
     T3 = make_poly_quotient(F2, (0, 0, 0, 1))
     S = make_product(T3, T3)
-    R = Subalgebra(S, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
+    R = Subalgebra(S, [vec(F2, (1, 0, 0, 0, 0, 0)), vec(F2, (0, 0, 0, 1, 0, 0))])
     ext = Extension(R, S)
     ok, _ = is_arithmetic(ext)
     assert ok
@@ -227,7 +228,7 @@ def test_arithmetic_witness_pullback_lands_in_interval(F2):
 
     T44 = make_poly_quotient(F2, (0, 0, 0, 0, 1))
     S = make_product(T44, make_poly_quotient(F2, (0, 1)))
-    R = Subalgebra(S, [(1, 0, 0, 0, 0), (0, 0, 0, 0, 1)])
+    R = Subalgebra(S, [vec(F2, (1, 0, 0, 0, 0)), vec(F2, (0, 0, 0, 0, 1))])
     ext = Extension(R, S)
     ok, witnesses = is_arithmetic(ext)
     assert not ok
@@ -492,14 +493,15 @@ def test_chain_census_matches_the_listing():
 
 
 def test_quotient_interval_bijection(ext44, deep_local_ext):
-    ok, detail = quotient_interval_check(ext44, [(0, 0, 0, 1)])
+    F2 = ext44.ambient.field
+    ok, detail = quotient_interval_check(ext44, [vec(F2, (0, 0, 0, 1))])
     assert ok and detail["upstairs"] == detail["downstairs"]
     ok0, _ = quotient_interval_check(ext44, ())
     assert ok0
     # a proper subring top: GF(2) <= GF(2)[s^2] inside GF(2)[s]/(s^5), modulo s^4
     S = deep_local_ext.ambient
     ext = Extension(generated_subalgebra(S, []), deep_local_ext.bottom)
-    ok, detail = quotient_interval_check(ext, [(0, 0, 0, 0, 1)])
+    ok, detail = quotient_interval_check(ext, [vec(F2, (0, 0, 0, 0, 1))])
     assert ok and detail == {"upstairs": 2, "downstairs": 2}
 
 
@@ -553,17 +555,20 @@ def test_product_split(q, seed):
     (Dobbs-Picavet-Picavet-L'Hermitte 2012): both maximal ideals are in the
     support, sizes multiply, lengths add, and the localization at the
     maximal ideal of each factor is that factor's interval."""
-    from ringlat.gfq import zero_vec
-
     local = list(random_extension(GenSpec(seed=seed, q=q, max_dim=3,
                                           shape="local-subintegral", count=6)))
     fields = random_extension(GenSpec(seed=seed, q=q, max_dim=3, shape="field-tower",
                                       count=3))
     for e1, e2 in [*zip(local[::2], local[1::2]), *zip(local, fields)]:
         S = make_product(e1.ambient, e2.ambient)
-        n1, n2 = e1.ambient.dim, e2.ambient.dim
-        R = Subalgebra(S, [r + zero_vec(n2) for r in e1.bottom.basis]
-                       + [zero_vec(n1) + r for r in e2.bottom.basis])
+        F, n1, n2 = S.field, e1.ambient.dim, e2.ambient.dim
+
+        def joined(u, v):
+            return vec(F, gfq.entries(F, u, n1) + gfq.entries(F, v, n2))
+
+        zero1, zero2 = gfq.zero_vec(F, n1), gfq.zero_vec(F, n2)
+        R = Subalgebra(S, [joined(r, zero2) for r in e1.bottom.basis]
+                       + [joined(zero1, r) for r in e2.bottom.basis])
         ext = Extension(R, S)
         an = Analysis()
         lat, lat1, lat2 = (enumerate_interval(e) for e in (ext, e1, e2))
@@ -571,7 +576,7 @@ def test_product_split(q, seed):
         assert interval_length(lat) == interval_length(lat1) + interval_length(lat2)
         supp = support(ext, an)
         assert len(supp) == 2
-        first = e1.ambient.one + zero_vec(n2)
+        first = joined(e1.ambient.one, zero2)
         for M in supp:
             (e,) = [f.idempotent for f in an.decomposition(R).factors
                     if f.maximal_ideal == M]
@@ -579,3 +584,30 @@ def test_product_split(q, seed):
             loc_lat = enumerate_interval(localize_extension(ext, M, an))
             assert len(loc_lat.nodes) == len(part.nodes)
             assert interval_length(loc_lat) == interval_length(part)
+
+
+@pytest.mark.parametrize("name, closures", [("y4", 17), ("y5", 46), ("product", 61),
+                                            ("f9-mixed", 123)])
+def test_enumeration_spends_no_rref_on_closure_rows(monkeypatch, name, closures):
+    """A closure keeps its rows in rref through reduce_insert, and its ring
+    takes them as they are: enumerating a golden makes its closures and not
+    one gfq.rref call, where re-reducing each closure's rows made one each."""
+    from pathlib import Path
+
+    from ringlat import algebra, lattice
+
+    ext = load_instance(Path(__file__).parent / "golden" / f"{name}.json")
+    counts = {"rref": 0, "closures": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (gfq, algebra, lattice):
+        monkeypatch.setattr(module, "rref", counting("rref", gfq.rref))
+    monkeypatch.setattr(lattice, "generated_subalgebra",
+                        counting("closures", algebra.generated_subalgebra))
+    enumerate_interval(ext)
+    assert counts == {"rref": 0, "closures": closures}

@@ -29,12 +29,12 @@ from ringlat.nagata import (
     nagata_report,
 )
 
-from conftest import nilpotency_index
+from conftest import nilpotency_index, vec
 
 
-def test_nilpotency_index_examples(ext44, T44, deep_local_ext):
+def test_nilpotency_index_examples(F2, ext44, T44, deep_local_ext):
     assert nilpotency_index(ext44) == 1  # M = 0, C = 0
-    R = Subalgebra(T44, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    R = Subalgebra(T44, [vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0)), vec(F2, (0, 0, 0, 1))])
     assert nilpotency_index(Extension(R, T44)) == 1  # C = M
     assert nilpotency_index(deep_local_ext) == 2
 
@@ -123,7 +123,7 @@ def test_crosscheck_nonlocal_subintegral(F2):
     T44 = make_poly_quotient(F2, (0, 0, 0, 0, 1))
     T2 = make_poly_quotient(F2, (0, 0, 1))
     S = make_product(T44, T2)
-    R = Subalgebra(S, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)])
+    R = Subalgebra(S, [vec(F2, (1, 0, 0, 0, 0, 0)), vec(F2, (0, 0, 0, 0, 1, 0))])
     ext = Extension(R, S)
     a, b = fip_subintegral_crosscheck(ext)
     assert (a, b) == (False, False)
@@ -161,7 +161,7 @@ def test_fip_true_when_every_local_part_is_two_nodes(F2):
     """Seminormalization consistency: all localized subintegral parts minimal."""
     E = make_poly_quotient(F2, (0, 0, 1))
     S = make_product(E, E)
-    R = Subalgebra(S, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    R = Subalgebra(S, [vec(F2, (1, 0, 0, 0)), vec(F2, (0, 0, 1, 0))])
     ext = Extension(R, S)
     assert nagata_has_fip(ext)[0]
 
