@@ -141,7 +141,8 @@ class Subspace:
     """Subspace of an ambient Algebra on its canonical reduced-echelon basis.
 
     Two subspaces are equal iff they have the same class, the same ambient
-    algebra and the same basis tuple.
+    algebra and the same basis tuple.  A subspace is never changed after
+    construction, so its hash is computed once.
     """
 
     def __init__(self, ambient, rows):
@@ -170,8 +171,12 @@ class Subspace:
         return (type(other) is type(self) and other.ambient is self.ambient
                 and other.basis == self.basis)
 
+    _hash = None  # set on the first hash
+
     def __hash__(self):
-        return hash((id(self.ambient), self.basis))
+        if self._hash is None:
+            self._hash = hash((id(self.ambient), self.basis))
+        return self._hash
 
     def entry_rows(self):
         """The basis as lists of entries, as reports print it."""
@@ -240,8 +245,12 @@ class Extension:
         return (isinstance(other, Extension) and self.bottom == other.bottom
                 and self.top == other.top)
 
+    _hash = None  # set on the first hash
+
     def __hash__(self):
-        return hash((self.bottom, self.top))
+        if self._hash is None:
+            self._hash = hash((self.bottom, self.top))
+        return self._hash
 
     def __repr__(self):
         return f"Extension({self.bottom.dim} <= {self.top.dim} in dim {self.ambient.dim})"

@@ -32,7 +32,6 @@ from .algebra import (
     conductor,
     intersect_with,
     localize_extension,
-    support,
 )
 from .analysis import Analysis
 from .gfq import intersect_rowspaces
@@ -135,7 +134,7 @@ def check_cover_kinds(lat, edge_kinds, an=None):
 def crucial_ideal(T, U, an=None):
     """The unique maximal ideal of T where the pair is locally nontrivial."""
     an = an or Analysis()
-    diffs = support(Extension(T, U), an)
+    diffs = an.support(Extension(T, U))
     if len(diffs) != 1:
         raise InternalInvariantError(
             "crucial-uniqueness",
@@ -190,7 +189,7 @@ def is_infra_integral(ext, an=None):
 
 def is_subintegral(ext, an=None):
     """S is subintegral over R iff +R = S (Swan, On seminormality, 1980)."""
-    return seminormalization(ext, an) == ext.top
+    return (an or Analysis()).seminormalization(ext) == ext.top
 
 
 def is_t_closed(ext, an=None):
@@ -248,7 +247,7 @@ def canonical_decomposition(ext, an=None):
     lattice: the nodes that ramified covers reach from R are the nodes under
     +R, and those that ramified or decomposed covers reach are those under tR."""
     an = an or Analysis()
-    plus = seminormalization(ext, an)
+    plus = an.seminormalization(ext)
     tcl = t_closure(ext, an)
     if not tcl.contains(plus):
         raise InternalInvariantError(
@@ -282,7 +281,7 @@ def lambda_crosscheck(ext, an=None):
     tcl = an.canonical(ext).t_closure
     ok = value == lambda_invariant(Extension(tcl, ext.top), an)
     if tcl == ext.bottom and not ext.is_trivial:  # t-closed integral pair
-        supp = support(ext, an)
+        supp = an.support(ext)
         localized = [interval_length(an.lattice(localize_extension(ext, M, an))) for M in supp]
         ok = (ok and value == max(localized, default=0)
               and interval_length(an.lattice(ext)) <= len(supp) * value)

@@ -33,7 +33,6 @@ from .algebra import (
     localize_extension,
     make_poly_quotient,
     make_product,
-    support,
 )
 from .analysis import DEFAULT_BUDGET, Analysis, BudgetExceeded
 from .canonical import (
@@ -243,7 +242,7 @@ def build_result(ext, args):
     arith, _ = is_arithmetic(ext, an)
     delta, _ = is_delta_extension(lat)
     nrep = nagata_report(ext, an)
-    supp = support(ext, an)
+    supp = an.support(ext)
     doc = {
         "version": __version__,
         "interval": {
@@ -313,7 +312,7 @@ def cmd_lattice(args):
     an = analysis_for(args)
     lat = an.lattice(ext)
     edge_kinds = classify_cover_edges(lat, an)
-    supp = support(ext, an)
+    supp = an.support(ext)
     supp_index = {m.basis: k for k, m in enumerate(supp)}
 
     def edge_label(edge):
@@ -392,7 +391,7 @@ def _check_suite(ext, args):
     yield "census-vs-predicates", ok, \
         f"infra={infra} all_rd={all_rd} t_closed={t_closed} all_inert={all_inert}"
 
-    supp_set = frozenset(m.basis for m in support(ext, an))
+    supp_set = frozenset(m.basis for m in an.support(ext))
     count, traces = chain_census(lat, crucial_traces(lat, an))
     yield "crucial-trace-invariance", traces == {supp_set}, f"{count} chains"
 
@@ -410,7 +409,7 @@ def _check_suite(ext, args):
     if is_subintegral(ext, an):
         a, b = fip_subintegral_crosscheck(ext, an)
         yield "fip-criteria-agreement", a == b, f"arithmetic={a} filtration={b}"
-        for M in support(ext, an):
+        for M in an.support(ext):
             data = an.filtration(localize_extension(ext, M, an))
             if not data.residue_is_field:
                 c1, c2, c3 = filtration_conditions(data, an)

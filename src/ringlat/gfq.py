@@ -20,9 +20,10 @@ exact.
 
 A prime field (e = 1) stores nothing: its elements are ints mod p and every
 operation reduces mod p.  An extension field (e > 1), of size at most
-MAX_EXTENSION_Q, builds q x q add and mul tables once.  Only this module
-knows which representation a field takes.  The vector kernels (`lincomb`,
-`vadd`, `vsub`, `vscale`, `algebra_product`), the eliminations built on
+MAX_EXTENSION_Q, builds q x q add and mul tables once, the products from
+one exp/log table.  Only this module knows which representation a field
+takes.  The vector kernels (`lincomb`, `vadd`, `vsub`, `vscale`,
+`algebra_product`), the eliminations built on
 them (`rref`, `reduce_vec`, and `reduce_insert`, which grows an rref basis
 one vector at a time, `left_kernel`, `intersect_rowspaces`) and the
 enumerations (`line_vectors`, `all_rref_matrices`) choose once per call,
@@ -49,9 +50,9 @@ from operator import mul
 
 MAX_TABLE_Q = 4096  # the largest field GF accepts, and so the parser's field-size cap
 # The largest extension field (e > 1) GF accepts: its tables hold 2 q**2
-# entries, built in Python.  GF(2^8) built in 0.83 s at 17 MB peak RSS,
-# GF(23^2) in 1.1 s, GF(2^9) in 3.8 s and GF(2^10) in 19 s at 81 MB, on a
-# shared 2-core x86_64 machine (Python 3.11).
+# entries, built in Python from one exp/log table (q polynomial products).
+# GF(2^8) built in 14 ms and GF(3^5) in 12 ms (0.73 s and 0.45 s with q**2
+# polynomial products), on a shared 2-core x86_64 machine (Python 3.11).
 MAX_EXTENSION_Q = 256
 
 
@@ -133,16 +134,44 @@ class GF:
         return f
 
     def _build_tables(self):
+        """The add and mul tables, and negation and inverse, of GF(p**e).
+
+        Addition is digit-wise mod p, a XOR over GF(2).  Products come from
+        one exp/log table of the first element g of order q - 1: q - 1
+        polynomial products by g list its powers, and a*b = g**(log a + log b).
+        """
         p, q = self.p, self.q
-        digits = [self._digits(a) for a in range(q)]
-        self._add = [[self._encode([(x + y) % p for x, y in zip(digits[a], digits[b])])
-                      for b in range(q)] for a in range(q)]
-        self._mul = [[self._poly_mul_mod(digits[a], digits[b]) for b in range(q)]
-                     for a in range(q)]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            self._inv[a] = self._mul[a].index(1)
+        if p == 2:
+            self._add = [[a ^ b for b in range(q)] for a in range(q)]
+            self._neg = list(range(q))
+        else:
+            # the lowest digit of a + b, then the higher digits a // p + b // p
+            self._add = add = [list(range(q))]
+            for a in range(1, q):
+                up, low = add[a // p], a % p
+                add.append([(low + b) % p + p * up[b // p] for b in range(q)])
+            self._neg = neg = [0]
+            for a in range(1, q):
+                neg.append(-a % p + p * neg[a // p])
+        exp = self._powers_of_first_generator()
+        log = [0] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        exp = exp + exp  # exponents up to 2 (q - 2)
+        self._mul = [[0] * q] + [[0] + [exp[log[a] + log[b]] for b in range(1, q)]
+                                 for a in range(1, q)]
+        self._inv = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
+
+    def _powers_of_first_generator(self):
+        """g**0, ..., g**(q - 2) for the least g in range(q) of order q - 1,
+        which exists as the modulus is irreducible."""
+        for g in range(2, self.q):
+            dg = self._digits(g)
+            powers = [1]
+            while (x := self._poly_mul_mod(self._digits(powers[-1]), dg)) != 1:
+                powers.append(x)
+            if len(powers) == self.q - 1:
+                return powers
 
     def _digits(self, a):
         out = []

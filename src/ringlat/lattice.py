@@ -2,21 +2,28 @@
 
 Enumeration is a breadth-first closure: from each known intermediate ring T,
 adjoin one vector c of each GF(q)-line of a complement C of T in the top ring
-and close under multiplication, (q**codim - 1) / (q - 1) closures per node,
-each T[c] costing dim T[c] products (`generated_subalgebra`).  Completeness
-follows because any strictly larger intermediate ring contains some T[c], and
-T[c] = T[ac] for every nonzero scalar a.  The closures also give the covers:
-X covers T iff (q**(dim X - dim T) - 1) / (q - 1) of them, one per line of
+and close under multiplication, each T[c] costing dim T[c] products
+(`generated_subalgebra`).  Completeness follows because any strictly larger
+intermediate ring contains some T[c], and T[c] = T[ac] for every nonzero
+scalar a.  A line need not be closed when it lies in a ring X already
+certified minimal over T, for T < T[c] <= X forces T[c] = X: the certificate
+(`_is_minimal_over`, by Ferrand and Olivier) asks that the conductor (T:X)
+be maximal in T and X/(T:X) be of dimension 2, or a field of prime degree,
+over the field T/(T:X).  So a field step of prime degree d costs one closure
+where its (q**d - 1) / (q - 1) lines cost as many.  The closures, and the
+skipped lines that count as closures giving X, also give the covers: X
+covers T iff (q**(dim X - dim T) - 1) / (q - 1) of them, one per line of
 X ∩ C, give X, because X = T + (X ∩ C) and a ring strictly between T and X
-takes the lines it contains.  A brute-force scan over all subspaces serves as
-an independent oracle.  Both charge their analysis before they work: one unit
-per line vector of each node expanded, or per subspace to be scanned.  The
-order and joins are read off bitmasks built from the covers, and the delta
-test and distributivity are local criteria on the covers, with no linear
-algebra.  A maximal chain is a plain tuple of node indices, a path of covers
-from bottom to top; whatever belongs to its steps belongs to the covers and
-is keyed by them, so the chains are counted, and their trace sets gathered,
-in one pass over the covers without listing a chain.
+takes the lines it contains.  A brute-force scan over all subspaces serves
+as an independent oracle.  Both charge their analysis before they work: one
+unit per line vector of each node expanded, closed or skipped, or per
+subspace to be scanned.  The order and joins are read off bitmasks built
+from the covers, and the delta test and distributivity are local criteria
+on the covers, with no linear algebra.  A maximal chain is a plain tuple of
+node indices, a path of covers from bottom to top; whatever belongs to its
+steps belongs to the covers and is keyed by them, so the chains are
+counted, and their trace sets gathered, in one pass over the covers without
+listing a chain.
 """
 
 from __future__ import annotations
@@ -31,13 +38,13 @@ from .algebra import (
     AlgebraError,
     Extension,
     Subalgebra,
+    conductor,
     generated_subalgebra,
     localize_extension,
     quotient,
-    support,
 )
 from .analysis import DEFAULT_BUDGET, Analysis
-from .gfq import complement_in, in_span, rref
+from .gfq import complement_in, contains_rows, in_span, rref
 
 
 @dataclass
@@ -77,41 +84,107 @@ class ExtensionLattice:
         return self.nodes.index(node)
 
 
-def _closure_tasks(ext, node, an):
+def _is_maximal(M, ring, an):
+    """True iff the ideal M of ring is maximal, read off the memoized
+    Frobenius kernels (K, Nil) of ring: ring/Nil is a product of fields, so
+    ring/M is a field iff M holds Nil and the image of K, one GF(q) per
+    local factor of ring/M, is GF(q) alone, dim(K + M) = dim M + 1."""
+    F = ring.ambient.field
+    fixed, nil = an.frobenius(ring)
+    return contains_rows(F, M.basis, nil) and len(rref(F, [*M.basis, *fixed])) == M.dim + 1
+
+
+def _is_minimal_over(T, X, an):
+    """True iff X is a minimal overring of T < X (Ferrand and Olivier,
+    Homomorphismes minimaux d'anneaux, 1970): the conductor M = (T:X) is a
+    maximal ideal of T and, over k = T/M, X/M has dimension 2, or has prime
+    dimension and is a field, that is M is maximal in X too.
+
+    The memoized Frobenius counts (r, s) first rule out a pair that fits no
+    minimal kind (see `canonical.cover_kind`), with d = dim X - dim T and
+    s_T - r_T + 1 the largest residue degree T can have: a decomposed step
+    adds a local factor and d <= that degree to s, an inert one adds d to s,
+    and a ramified one keeps r and s, with d a residue degree.
+    """
+    (r_t, s_t), (r_x, s_x) = an.frobenius_counts(T), an.frobenius_counts(X)
+    d, fmax = X.dim - T.dim, s_t - r_t + 1
+    if not ((r_x == r_t + 1 and s_x - s_t == d <= fmax)
+            or (r_x == r_t and s_x - s_t == d)
+            or (r_x == r_t and s_x == s_t and d <= fmax)):
+        return False
+    M = conductor(T, X)
+    if not _is_maximal(M, T, an):
+        return False
+    m, rem = divmod(X.dim - M.dim, T.dim - M.dim)
+    return not rem and (m == 2 or (gfq.factor_multiplicity(m) == 1 and _is_maximal(M, X, an)))
+
+
+def _line_rows(ext, node, an):
+    """A complement of node in the top, charged one unit per line vector."""
     F = ext.ambient.field
     comp = complement_in(F, node.basis, ext.top.basis)
     an.charge("interval enumeration", (F.q ** len(comp) - 1) // (F.q - 1))
-    return list(gfq.line_vectors(F, comp))
+    return comp
+
+
+def _expand(ext, node, comp, an):
+    """The ring T[c] of each line vector c of comp, in line order, for T = node.
+
+    A line vector inside a ring X certified minimal over T gives X with no
+    closure.  A closure X is put to the certificate once, and only when X/T
+    has lines enough for skips to pay: d = dim X - dim T >= 2 and q**d > 8.
+    """
+    A = ext.ambient
+    F = A.field
+    certified, tried, out = [], set(), []
+    for c in gfq.line_vectors(F, comp):
+        for X in certified:
+            if X.contains_vector(c):
+                break
+        else:
+            X = generated_subalgebra(A, [c], seed=node)
+            d = X.dim - node.dim
+            if d >= 2 and F.q ** d > 8 and X.basis not in tried:
+                tried.add(X.basis)
+                if _is_minimal_over(node, X, an):
+                    certified.append(X)
+        out.append(X)
+    return out
 
 
 def enumerate_interval(ext, an=None):
     """Every intermediate ring of ext, sorted by (dimension, basis), and the
-    covers: X = T[c] covers T iff (q**(dim X - dim T) - 1) / (q - 1) closures
-    from T give X, one per line of X ∩ C, as X = T + (X ∩ C) for the
-    complement C of T and a ring strictly between takes the lines it contains."""
+    covers: X = T[c] covers T iff (q**(dim X - dim T) - 1) / (q - 1) line
+    vectors c from T give X, one per line of X ∩ C, as X = T + (X ∩ C) for the
+    complement C of T and a ring strictly between takes the lines it contains.
+
+    Each level of the search charges every node's lines before it closes
+    any; with an.threads > 1 the nodes of a level are expanded in a pool,
+    and their rings are merged in node order, so the result is the same.
+    """
     an = an or Analysis()
-    A = ext.ambient
-    q = A.field.q
+    q = ext.ambient.field.q
     seen = {ext.bottom.basis: ext.bottom}
-    hits = {}  # (T, X) bases -> closures from T that gave X
+    hits = {}  # (T, X) bases -> line vectors from T that gave X
     frontier = [ext.bottom]
     pool = ThreadPoolExecutor(max_workers=an.threads) if an.threads > 1 else None
     try:
         while frontier:
-            tasks = [(node, s) for node in frontier for s in _closure_tasks(ext, node, an)]
+            comps = [_line_rows(ext, node, an) for node in frontier]
 
-            def close(task):
-                node, s = task
-                return generated_subalgebra(A, [s], seed=node)
+            def expand(job):
+                return _expand(ext, *job, an)
 
-            results = pool.map(close, tasks) if pool else map(close, tasks)
-            frontier = []
-            for (node, _), new in zip(tasks, results):
-                edge = node.basis, new.basis
-                hits[edge] = hits.get(edge, 0) + 1
-                if new.basis not in seen:
-                    seen[new.basis] = new
-                    frontier.append(new)
+            results = (pool.map if pool else map)(expand, zip(frontier, comps))
+            found = []
+            for node, rings in zip(frontier, results):
+                for new in rings:
+                    edge = node.basis, new.basis
+                    hits[edge] = hits.get(edge, 0) + 1
+                    if new.basis not in seen:
+                        seen[new.basis] = new
+                        found.append(new)
+            frontier = found
     finally:
         if pool:
             pool.shutdown()
@@ -188,7 +261,7 @@ def is_arithmetic(ext, an=None):
     """
     an = an or Analysis()
     failures = []
-    for M in support(ext, an):
+    for M in an.support(ext):
         pair = first_incomparable_pair(an.lattice(localize_extension(ext, M, an)))
         if pair is not None:
             failures.append(ArithmeticWitness(maximal_ideal=M, pair=pair))

@@ -22,10 +22,9 @@ from .algebra import (
     ideal_mul_rows,
     localize_extension,
     module_length,
-    support,
 )
 from .analysis import Analysis
-from .canonical import is_subintegral, lambda_invariant, seminormalization
+from .canonical import is_subintegral, lambda_invariant
 from .gfq import contains_rows, rref
 from .lattice import interval_length, is_arithmetic, is_chained
 
@@ -144,7 +143,7 @@ def nagata_has_fip(ext, an=None):
     """Finiteness of the extended interval: the seminormal part must be
     arithmetic.  Returns (fip, the arithmetic failures of the seminormal part)."""
     an = an or Analysis()
-    return is_arithmetic(Extension(ext.bottom, seminormalization(ext, an)), an)
+    return is_arithmetic(Extension(ext.bottom, an.seminormalization(ext)), an)
 
 
 def fip_subintegral_crosscheck(ext, an=None):
@@ -160,7 +159,7 @@ def fip_subintegral_crosscheck(ext, an=None):
         raise AlgebraError("crosscheck requires a subintegral pair")
     verdict_a, _ = is_arithmetic(ext, an)
     verdict_b = True
-    for M in support(ext, an):
+    for M in an.support(ext):
         data = an.filtration(localize_extension(ext, M, an))
         if data.residue_is_field:
             ok = is_chained(an.lattice(data.ext))

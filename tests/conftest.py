@@ -21,6 +21,7 @@ from ringlat.analysis import Analysis
 from ringlat.canonical import residual_extensions
 from ringlat.gen import field_step_algebra, monomial_algebra
 from ringlat.gfq import GF, irreducible_poly
+from ringlat.lattice import ExtensionLattice
 from ringlat.nagata import _powers
 
 
@@ -122,6 +123,51 @@ def scan_roots(field, poly):
         if acc == 0:
             roots.append(lam)
     return roots
+
+
+def line_closure_interval(ext, an=None):
+    """Reference enumeration with no line skipped: from each node T, the
+    closure T[c] of one vector c of every GF(q)-line of a complement of T,
+    charged one unit per line vector; X covers T iff one closure per line of
+    X/T gives X."""
+    an = an or Analysis()
+    A = ext.ambient
+    F = A.field
+    seen = {ext.bottom.basis: ext.bottom}
+    hits = {}
+    frontier = [ext.bottom]
+    while frontier:
+        tasks = []
+        for node in frontier:
+            comp = gfq.complement_in(F, node.basis, ext.top.basis)
+            an.charge("interval enumeration", (F.q ** len(comp) - 1) // (F.q - 1))
+            tasks += [(node, c) for c in gfq.line_vectors(F, comp)]
+        frontier = []
+        for node, c in tasks:
+            new = generated_subalgebra(A, [c], seed=node)
+            hits[node.basis, new.basis] = hits.get((node.basis, new.basis), 0) + 1
+            if new.basis not in seen:
+                seen[new.basis] = new
+                frontier.append(new)
+    nodes = sorted(seen.values(), key=lambda n: (n.dim, n.basis))
+    index = {n.basis: k for k, n in enumerate(nodes)}
+    covers = sorted((index[t], index[x]) for (t, x), count in hits.items()
+                    if count == (F.q ** (len(x) - len(t)) - 1) // (F.q - 1))
+    return ExtensionLattice(ext=ext, nodes=tuple(nodes), bottom=index[ext.bottom.basis],
+                            top=index[ext.top.basis], covers=tuple(covers))
+
+
+def quadratic_field_tables(field):
+    """Reference add, mul, negation and inverse tables of an extension field:
+    one polynomial sum or product mod the modulus for each of the q**2 pairs,
+    and the negation and inverse found by scanning a row."""
+    q = field.q
+    digits = [field._digits(a) for a in range(q)]
+    add = [[field._encode([(x + y) % field.p for x, y in zip(digits[a], digits[b])])
+            for b in range(q)] for a in range(q)]
+    mul = [[field._poly_mul_mod(digits[a], digits[b]) for b in range(q)] for a in range(q)]
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
+    return add, mul, [add[a].index(0) for a in range(q)], inv
 
 
 # Entry-wise GF(2) references for the packed kernels of gfq: rows are tuples

@@ -198,6 +198,19 @@ def test_subspace_equality_is_class_ambient_and_basis(F2, T44):
     assert Subalgebra(other, rows) != R
 
 
+def test_cached_hashes_agree_across_constructors(F2, T44):
+    """A ring's hash is computed once and kept; a ring built on rref rows
+    with no second elimination hashes as its equal built by elimination,
+    and so do extensions between them."""
+    rows = [vec(F2, (1, 0, 1, 1)), vec(F2, (0, 0, 1, 1)), vec(F2, (0, 0, 0, 1))]
+    R = Subalgebra(T44, rows)
+    on_rref = Subalgebra._on_rref(T44, R.basis)
+    assert R == on_rref and hash(R) == hash(on_rref) == hash(R)
+    assert len({R, on_rref, T44.full()}) == 2
+    assert hash(Extension(R, T44)) == hash(Extension(on_rref, T44.full()))
+    assert len({Extension(R, T44), Extension(on_rref, T44)}) == 1
+
+
 def test_conductor_examples(F2, T44):
     K = generated_subalgebra(T44, [])
     assert conductor(K, T44.full()).basis == ()

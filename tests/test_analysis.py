@@ -112,7 +112,7 @@ def test_analyze_product_algebra_products(monkeypatch):
 
     monkeypatch.setattr(algebra.Algebra, "mul", counting_mul)
     run(["analyze", str(GOLDEN / "product.json")])
-    assert len(calls) == 554
+    assert len(calls) == 549
 
 
 @pytest.mark.parametrize("name", ["y5", "y7-over-y2", "y4"])
@@ -213,6 +213,20 @@ def test_check_finds_residue_fields_once_per_pair(monkeypatch, name):
             [(ring_content(args[0].bottom), ring_content(args[0].top))]))
     run(["check", str(GOLDEN / f"{name}.json")])
     assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("verb", ["analyze", "check"])
+@pytest.mark.parametrize("name", ["y5", "product", "f9-mixed", "y7-over-y2"])
+def test_support_and_seminormalization_once_per_pair(monkeypatch, verb, name):
+    """The report, the Nagata report and the FIP cross-check read the support
+    and +R of a pair from the analysis: each is computed once per pair."""
+    calls = Counter()
+    for module, fn in ((algebra, "support"), (canonical, "seminormalization")):
+        spy(monkeypatch, module, fn, lambda args, kwargs, result, fn=fn: calls.update(
+            [(fn, ring_content(args[0].bottom), ring_content(args[0].top))]))
+    run([verb, str(GOLDEN / f"{name}.json")])
+    assert {fn for fn, *_ in calls} == {"support", "seminormalization"}
+    assert max(calls.values()) == 1
 
 
 def test_analyze_finds_residue_fields_a_few_times(write, monkeypatch):

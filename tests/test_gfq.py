@@ -26,6 +26,7 @@ from ringlat.gfq import (
 from conftest import (
     deadline,
     pivot_count_subspaces,
+    quadratic_field_tables,
     ref2_intersect,
     ref2_left_kernel,
     ref2_line_vectors,
@@ -69,6 +70,18 @@ def test_frobenius_fixes_everything(p, e):
         for _ in range(F.q):
             t = F.mul(t, a)
         assert t == a or (a == 0 and t == 0)
+
+
+EXTENSION_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in range(2, 7) if p ** e <= 64] \
+    + [(2, 8)]
+
+
+@pytest.mark.parametrize("p,e", EXTENSION_FIELDS)
+def test_field_tables_match_the_quadratic_build(p, e):
+    """The tables read off one exp/log table equal those of q**2 polynomial
+    products, on every extension field with q <= 64 and on GF(256)."""
+    F = GF(p, e)
+    assert (F._add, F._mul, F._neg, F._inv) == quadratic_field_tables(F)
 
 
 def test_reducible_modulus_rejected():

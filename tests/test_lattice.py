@@ -9,8 +9,10 @@ from ringlat.algebra import (
     Extension,
     Subalgebra,
     Subspace,
+    conductor,
     generated_subalgebra,
     ideal_mul_rows,
+    local_decomposition,
     localize_extension,
     make_product,
     support,
@@ -18,10 +20,12 @@ from ringlat.algebra import (
 from ringlat.analysis import Analysis, BudgetExceeded
 from ringlat.canonical import crucial_traces, seminormalization
 from ringlat.cli import load_instance, parse_instance
-from ringlat.gen import SHAPES, GenSpec, random_extension
+from ringlat.gen import SHAPES, GenSpec, field_step_algebra, random_extension
 from ringlat.gfq import GF, intersect_rowspaces, rref
 from ringlat.lattice import (
     ExtensionLattice,
+    _is_maximal,
+    _is_minimal_over,
     brute_force_interval,
     chain_census,
     check_distributivity,
@@ -37,7 +41,15 @@ from ringlat.lattice import (
     to_dot,
 )
 
-from conftest import base_algebra, distributivity_scan, incomparable_pair_scan, leq, vec
+from conftest import (
+    base_algebra,
+    deadline,
+    distributivity_scan,
+    incomparable_pair_scan,
+    leq,
+    line_closure_interval,
+    vec,
+)
 
 # regression values frozen from the brute-force oracle before the main build
 EX44_CARDINALITY = 6
@@ -590,24 +602,177 @@ def test_product_split(q, seed):
                                             ("f9-mixed", 123)])
 def test_enumeration_spends_no_rref_on_closure_rows(monkeypatch, name, closures):
     """A closure keeps its rows in rref through reduce_insert, and its ring
-    takes them as they are: enumerating a golden makes its closures and not
-    one gfq.rref call, where re-reducing each closure's rows made one each."""
+    takes them as they are: the closures of enumerating a golden make not one
+    gfq.rref call, where re-reducing each closure's rows made one each.  The
+    minimality certificate does its linear algebra outside the closures."""
     from pathlib import Path
 
     from ringlat import algebra, lattice
 
     ext = load_instance(Path(__file__).parent / "golden" / f"{name}.json")
     counts = {"rref": 0, "closures": 0}
+    closing = []
+    rref, close = gfq.rref, algebra.generated_subalgebra
 
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting_rref(*args):
+        counts["rref"] += bool(closing)
+        return rref(*args)
+
+    def counting_closure(*args, **kwargs):
+        counts["closures"] += 1
+        closing.append(True)
+        try:
+            return close(*args, **kwargs)
+        finally:
+            closing.pop()
 
     for module in (gfq, algebra, lattice):
-        monkeypatch.setattr(module, "rref", counting("rref", gfq.rref))
-    monkeypatch.setattr(lattice, "generated_subalgebra",
-                        counting("closures", algebra.generated_subalgebra))
+        monkeypatch.setattr(module, "rref", counting_rref)
+    monkeypatch.setattr(lattice, "generated_subalgebra", counting_closure)
     enumerate_interval(ext)
     assert counts == {"rref": 0, "closures": closures}
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GEN_QS = (2, 3, 4, 5, 8, 9)
+
+
+def workload_extensions():
+    """The extensions of the seed-0 instances of the benchmark's four workloads."""
+    import importlib.util
+
+    import ringlat
+
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up
+    spec.loader.exec_module(workloads)
+    return [parse_instance(cmd.doc) for name in workloads.WORKLOADS
+            for cmd in workloads.build(ringlat, name, 0)]
+
+
+def assert_same_as_the_unpruned_enumeration(ext):
+    an, ref_an = Analysis(), Analysis()
+    lat, ref = enumerate_interval(ext, an), line_closure_interval(ext, ref_an)
+    assert lat.nodes == ref.nodes
+    assert lat.covers == ref.covers
+    assert an.spent == ref_an.spent
+
+
+def test_skipped_lines_change_nothing_on_goldens_and_workloads():
+    """Skipping the lines of certified covers gives the nodes, covers and
+    units of closing every line, on the goldens and on the 100 seed-0
+    instances of the benchmark workloads."""
+    exts = [load_instance(path) for path in sorted(GOLDEN.glob("*.json"))]
+    exts += workload_extensions()
+    assert len(exts) == 106
+    for ext in exts:
+        assert_same_as_the_unpruned_enumeration(ext)
+
+
+@pytest.mark.parametrize("q", GEN_QS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_skipped_lines_change_nothing_on_gen_streams(shape, q):
+    max_dim = 5 if q < 8 else 4  # GF(9) at dimension 5 takes seconds per stream
+    for ext in random_extension(GenSpec(seed=0, q=q, max_dim=max_dim, shape=shape, count=12)):
+        assert_same_as_the_unpruned_enumeration(ext)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_minimality_certificate_is_the_cover_relation(q):
+    """_is_minimal_over(T, X) holds for exactly the covers among all pairs
+    T < X of nodes of seeded lattices: the certificate is sound and complete,
+    and its Frobenius filter rejects no cover."""
+    verdicts = {True: 0, False: 0}
+    for shape in SHAPES:
+        spec = GenSpec(seed=7, q=q, max_dim=5 if q < 8 else 4, shape=shape, count=6)
+        for ext in random_extension(spec):
+            an = Analysis()
+            lat = enumerate_interval(ext, an)
+            covers = set(lat.covers)
+            for t, x in itertools.permutations(range(len(lat.nodes)), 2):
+                if lat.above[t] >> x & 1:
+                    minimal = _is_minimal_over(lat.nodes[t], lat.nodes[x], an)
+                    assert minimal == ((t, x) in covers)
+                    verdicts[minimal] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_maximality_from_frobenius_kernels_matches_the_local_decomposition(q):
+    """_is_maximal(M, ring), read off the Frobenius kernels, holds iff M is
+    the maximal ideal of a local factor of ring, for the conductor M of every
+    pair T < X of nodes of seeded lattices, as an ideal of T and of X."""
+    verdicts = {True: 0, False: 0}
+    for shape in SHAPES:
+        spec = GenSpec(seed=7, q=q, max_dim=5 if q < 8 else 4, shape=shape, count=6)
+        for ext in random_extension(spec):
+            an = Analysis()
+            lat = enumerate_interval(ext, an)
+            for t, x in itertools.permutations(range(len(lat.nodes)), 2):
+                if lat.above[t] >> x & 1:
+                    M = conductor(lat.nodes[t], lat.nodes[x])
+                    for ring in (lat.nodes[t], lat.nodes[x]):
+                        maximal = _is_maximal(M, ring, an)
+                        assert maximal == any(f.maximal_ideal.basis == M.basis
+                                              for f in local_decomposition(ring).factors)
+                        verdicts[maximal] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def field_step_4_5():
+    """GF(4) inside GF(4^5), codimension 4: 85 lines from the bottom."""
+    S = field_step_algebra(GF(2, 2), 5)
+    return Extension(generated_subalgebra(S, []), S)
+
+
+def test_prime_degree_field_step_costs_one_closure(monkeypatch):
+    """The first closure from GF(4) is GF(4^5), certified minimal, so the
+    other 84 lines close nothing; the unpruned enumeration closes all 85.
+    Both charge 85 units and give the same two nodes and one cover."""
+    from ringlat import algebra, lattice
+
+    ext = field_step_4_5()
+    closures = []
+
+    def counting(*args, **kwargs):
+        closures.append(None)
+        return algebra.generated_subalgebra(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "generated_subalgebra", counting)
+    an = Analysis()
+    lat = enumerate_interval(ext, an)
+    assert (len(closures), an.spent, len(lat.nodes), lat.covers) == (1, 85, 2, ((0, 1),))
+    monkeypatch.undo()
+    assert_same_as_the_unpruned_enumeration(ext)
+
+
+def test_threads_give_the_same_lattice_on_a_prime_degree_field_step():
+    ext = field_step_4_5()
+    one, three = Analysis(), Analysis(threads=3)
+    a, b = enumerate_interval(ext, one), enumerate_interval(ext, three)
+    assert (a.nodes, a.covers, one.spent) == (b.nodes, b.covers, three.spent)
+
+
+def test_worker_threads_share_one_analysis_safely():
+    """Eight workers on two cores, switching threads every microsecond, read
+    and store the facts of one analysis while they certify covers: every
+    lattice, and every fact the analysis keeps, is the one a single thread
+    gets."""
+    exts = [field_step_4_5(), *random_extension(GenSpec(seed=3, q=4, max_dim=5,
+                                                        shape="mixed", count=8))]
+    single = Analysis()
+    expected = [enumerate_interval(ext, single) for ext in exts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with deadline(60):
+            shared = Analysis(threads=8)
+            got = [enumerate_interval(ext, shared) for ext in exts]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(lat.nodes, lat.covers) for lat in got] == \
+        [(lat.nodes, lat.covers) for lat in expected]
+    assert shared.spent == single.spent
+    assert shared._facts.keys() == single._facts.keys()
